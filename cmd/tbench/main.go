@@ -6,7 +6,7 @@
 //
 //	tbench [-workload all|ring8|grid3x3|compute8] [-workers 1,4]
 //	       [-runs n] [-blockcache=true] [-limit s]
-//	       [-fuse off|greedy|auto|full] [-autofuse]
+//	       [-fuse off|greedy|auto|full]
 //	       [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // Each (workload, workers) pair is built fresh and run to completion
@@ -17,10 +17,9 @@
 //
 // -fuse co-locates chattering nodes on shared shards (full = one
 // shard, greedy = contract the wiring graph to the worker count, auto
-// = partition by wire traffic observed in a profiling pre-run;
-// -autofuse is shorthand for -fuse=auto).  Fusion never changes the
-// simulated results — the deterministic cycle check still applies —
-// only how fast the simulator reaches them.
+// = partition by wire traffic observed in a profiling pre-run).
+// Fusion never changes the simulated results — the deterministic cycle
+// check still applies — only how fast the simulator reaches them.
 //
 // -cpuprofile/-memprofile write native Go pprof profiles of the
 // measurement runs, for finding engine hot paths (the simulated-time
@@ -56,14 +55,9 @@ func main() {
 	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (results are identical either way)")
 	limit := flag.Int("limit", 10, "per-run simulated-time limit in seconds")
 	fuse := flag.String("fuse", "off", "shard fusion mode: off|greedy|auto|full (results are identical at every partition)")
-	autofuse := flag.Bool("autofuse", false, "shorthand for -fuse=auto: partition by wire traffic from a profiling pre-run")
 	cpuprofile := flag.String("cpuprofile", "", "write a native CPU profile of the measurement runs to this file")
 	memprofile := flag.String("memprofile", "", "write a native heap profile (taken after the runs) to this file")
 	flag.Parse()
-
-	if *autofuse {
-		*fuse = "auto"
-	}
 
 	var names []string
 	if *workload == "all" {

@@ -93,29 +93,22 @@ func (e *Engine) emit(ev probe.Event) {
 }
 
 // Connect wires link la of engine a to link lb of engine b with a pair
-// of signal lines.  Engines on the same clock domain get the
-// synchronous fast path; engines on different shards of one
-// coordinator get mailbox delivery with the coordinator's lookahead as
-// the wire's propagation delay.
+// of signal lines.  Engines on the same clock domain get synchronous
+// delivery; engines on different ports of one coordinator get posted
+// delivery with the coordinator's lookahead as the wire's propagation
+// delay — through the barrier mailbox across shards, straight into the
+// far kernel inside a fused shard.
 func Connect(a *Engine, la int, b *Engine, lb int) {
 	ab := &wire{k: a.k, bitNs: BitNs, owner: a, link: la}
 	ba := &wire{k: b.k, bitNs: BitNs, owner: b, link: lb}
 	if post, prop := sim.CrossPath(a.k, b.k); post != nil {
 		ab.post, ab.prop, ab.rx = post, prop, &rxGate{}
-		ab.fused = sim.SameShard(a.k, b.k)
 	}
 	if post, prop := sim.CrossPath(b.k, a.k); post != nil {
 		ba.post, ba.prop, ba.rx = post, prop, &rxGate{}
-		ba.fused = sim.SameShard(b.k, a.k)
 	}
-	a.outs[la].wire = ab
-	a.outs[la].peer = b.ins[lb]
-	a.ins[la].ackWire = ab
-	a.ins[la].peerOut = b.outs[lb]
-	b.outs[lb].wire = ba
-	b.outs[lb].peer = a.ins[la]
-	b.ins[lb].ackWire = ba
-	b.ins[lb].peerOut = a.outs[la]
+	ab.attach(a.outs[la], a.ins[la], b.ins[lb], b.outs[lb])
+	ba.attach(b.outs[lb], b.ins[lb], a.ins[la], a.outs[la])
 }
 
 // Connected reports whether link i has been wired.
@@ -227,26 +220,19 @@ func (e *Engine) SeverLink(i int) {
 		return
 	}
 	w.severed = true
-	peer := e.ins[i].peerOut
+	pw := w.rxOut.wire
 	if w.post == nil {
-		if peer != nil && peer.wire != nil {
-			peer.wire.severed = true
-		}
+		pw.severed = true
 	} else {
 		// Inbound traffic stops being accepted here immediately; the
 		// peer's transmitter and its receive gate for our wire are cut
 		// when the break propagates.
-		if peer != nil && peer.wire != nil && peer.wire.rx != nil {
-			peer.wire.rx.severed = true
-		}
-		pw := peer
+		pw.rx.severed = true
 		rx := w.rx
-		w.post(w.k.Now()+w.prop, func() {
-			if pw != nil && pw.wire != nil {
-				pw.wire.severed = true
-			}
+		w.post(w.k.Now()+w.prop, sim.Func(func() {
+			pw.severed = true
 			rx.severed = true
-		})
+		}), 0, 0)
 	}
 	if e.bus != nil {
 		e.emit(probe.Event{Kind: probe.LinkSever, Link: i})
@@ -275,24 +261,17 @@ func (e *Engine) RestoreLink(i int) {
 	}
 	w := e.outs[i].wire
 	w.severed = false
-	peer := e.ins[i].peerOut
+	pw := w.rxOut.wire
 	if w.post == nil {
-		if peer != nil && peer.wire != nil {
-			peer.wire.severed = false
-		}
+		pw.severed = false
 		return
 	}
-	if peer != nil && peer.wire != nil && peer.wire.rx != nil {
-		peer.wire.rx.severed = false
-	}
-	pw := peer
+	pw.rx.severed = false
 	rx := w.rx
-	w.post(w.k.Now()+w.prop, func() {
-		if pw != nil && pw.wire != nil {
-			pw.wire.severed = false
-		}
+	w.post(w.k.Now()+w.prop, sim.Func(func() {
+		pw.severed = false
 		rx.severed = false
-	})
+	}), 0, 0)
 }
 
 // EnableInput arms alternative-input readiness signalling.

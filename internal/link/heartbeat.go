@@ -122,8 +122,8 @@ func (in *inHalf) beatArrive() {
 // monitored reports whether link l joins the heartbeat exchange: it
 // must be wired to another engine.  Host ends never beat.
 func (e *Engine) monitored(l int) bool {
-	o := e.outs[l]
-	return o.wire != nil && o.peer != nil && o.peer.eng != nil
+	w := e.outs[l].wire
+	return w != nil && w.rxIn.eng != nil
 }
 
 // hbTick is the periodic monitor body: pass verdicts on every
@@ -170,10 +170,5 @@ func (e *Engine) hbTick() {
 }
 
 func (e *Engine) sendBeat(l int) {
-	in := e.outs[l].peer
-	e.outs[l].wire.send(packet{
-		kind:    pktBeat,
-		bits:    BeatBits,
-		deliver: func(packet) { in.beatArrive() },
-	})
+	e.outs[l].wire.send(packet{kind: pktBeat})
 }

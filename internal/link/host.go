@@ -24,14 +24,8 @@ func NewHostEnd(k sim.Clock) *HostEnd {
 func ConnectHost(e *Engine, l int, h *HostEnd) {
 	th := &wire{k: e.k, bitNs: BitNs, owner: e, link: l} // transputer -> host
 	ht := &wire{k: e.k, bitNs: BitNs}                    // host -> transputer
-	e.outs[l].wire = th
-	e.outs[l].peer = h.in
-	e.ins[l].ackWire = th
-	e.ins[l].peerOut = h.out
-	h.out.wire = ht
-	h.out.peer = e.ins[l]
-	h.in.ackWire = ht
-	h.in.peerOut = e.outs[l]
+	th.attach(e.outs[l], e.ins[l], h.in, h.out)
+	ht.attach(h.out, h.in, e.ins[l], e.outs[l])
 }
 
 // SetStopAndWait switches the host end's receiver between overlapped
@@ -72,14 +66,8 @@ func (h *HostEnd) SendProgress() (sent, want int, active bool) {
 func ConnectHosts(a, b *HostEnd) {
 	ab := &wire{k: a.k, bitNs: BitNs}
 	ba := &wire{k: b.k, bitNs: BitNs}
-	a.out.wire = ab
-	a.out.peer = b.in
-	a.in.ackWire = ab
-	a.in.peerOut = b.out
-	b.out.wire = ba
-	b.out.peer = a.in
-	b.in.ackWire = ba
-	b.in.peerOut = a.out
+	ab.attach(a.out, a.in, b.in, b.out)
+	ba.attach(b.out, b.in, a.in, a.out)
 }
 
 // Send transmits data to the transputer, calling done when the final

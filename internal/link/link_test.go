@@ -120,19 +120,23 @@ func TestBidirectional(t *testing.T) {
 // TestAckPriority: acknowledges jump the data queue, so a saturated
 // outbound stream does not starve the inbound channel's acks.
 func TestAckPriority(t *testing.T) {
-	k, a, b := hostPair()
+	k, a, _ := hostPair()
 	var order []bool // true = ack
 	w := a.out.wire
-	// Queue data then an ack while the wire is busy; the ack must go
-	// first.
-	w.send(packet{bits: DataBits})
-	w.send(packet{bits: DataBits, deliverStart: func(uint64) { order = append(order, false) }})
-	w.send(packet{kind: pktAck, bits: AckBits, deliverStart: func(uint64) { order = append(order, true) }})
+	// Occupy the wire, then queue data and an ack behind it; the ack
+	// must go first.  The fault hook sees every frame as it starts
+	// transmission, so it records the order frames leave the queues.
+	w.send(packet{kind: pktData})
+	w.hook = func(isCtl bool) FaultAction {
+		order = append(order, isCtl)
+		return FaultAction{}
+	}
+	w.send(packet{kind: pktData})
+	w.send(packet{kind: pktAck})
 	k.Run()
 	if len(order) != 2 || !order[0] || order[1] {
 		t.Errorf("transmission order (ack first) = %v", order)
 	}
-	_ = b
 }
 
 // TestWireStats counts packets and busy time.

@@ -87,17 +87,13 @@ type relReceiver struct {
 // marks a resend, which the wire counts separately from goodput.
 func (o *outHalf) sendReliable(b byte, retrans bool) {
 	o.rel.cur = b
-	in := o.peer
 	o.wire.send(packet{
-		kind:    pktData,
-		bits:    RelDataBits,
+		kind:    pktRelData,
 		payload: b,
 		seq:     o.rel.seq,
 		crc:     crc8(b, o.rel.seq),
 		flow:    o.flow,
 		retrans: retrans,
-		deliver: func(p packet) { in.relDataArrive(p) },
-		onTxEnd: func() { o.relTxEnd() },
 	})
 }
 
@@ -220,25 +216,12 @@ func (in *inHalf) relDataArrive(p packet) {
 }
 
 func (in *inHalf) sendRelAck(seq byte) {
-	out := in.peerOut
-	in.ackWire.send(packet{
-		kind:    pktAck,
-		bits:    RelAckBits,
-		seq:     seq,
-		flow:    in.flow,
-		deliver: func(p packet) { out.relAckArrived(p.seq) },
-	})
+	in.ackWire.send(packet{kind: pktRelAck, seq: seq, flow: in.flow})
 }
 
 func (in *inHalf) sendNak() {
 	if in.eng != nil && in.eng.bus != nil {
 		in.eng.emit(probe.Event{Kind: probe.LinkNak, Link: in.link, Flow: in.flow})
 	}
-	out := in.peerOut
-	in.ackWire.send(packet{
-		kind:    pktNak,
-		bits:    NakBits,
-		flow:    in.flow,
-		deliver: func(packet) { out.relNakArrived() },
-	})
+	in.ackWire.send(packet{kind: pktNak, flow: in.flow})
 }

@@ -5,10 +5,16 @@
 // long data stream in one direction cannot starve the acknowledges of
 // the reverse channel), consults the fault-injection hook once per
 // frame, and carries deliveries to the receiving end — synchronously
-// when both ends share a clock domain, through the coordinator mailbox
-// with propagation latency when they do not.  Everything above this
+// when both ends share a clock domain, posted to the far port with
+// propagation latency when they do not.  Everything above this
 // layer deals in whole packets; only this file knows about bit times,
 // fault actions and shard crossings.
+//
+// A frame carries no callbacks: its kind says what it does.  The wire
+// knows its three fixed ends — the sending half and the far end's two
+// halves — and dispatches each arrival to them by kind, whether it
+// runs synchronously or is posted to the far end's port as a typed
+// delivery (see Receive).
 package link
 
 import (
@@ -16,32 +22,59 @@ import (
 	"transputer/internal/sim"
 )
 
-// packetKind distinguishes the frames multiplexed down a signal line.
+// packetKind distinguishes the frames multiplexed down a signal line;
+// it fixes a frame's length and which half handles its arrival.
 type packetKind uint8
 
 const (
-	pktData packetKind = iota
-	pktAck
-	pktNak
-	pktBeat
+	pktData    packetKind = iota // paper-protocol data byte
+	pktRelData                   // error-detecting data byte: seq bit and CRC trailer
+	pktAck                       // paper-protocol acknowledge
+	pktRelAck                    // error-detecting acknowledge echoing the seq bit
+	pktNak                       // error-detecting negative acknowledge
+	pktBeat                      // liveness probe
 )
 
-// packet is one frame queued on a wire.  Sender-side callbacks
-// (onTxEnd) always fire — transmitting hardware cannot tell its bits
-// were lost — while receiver-side callbacks (deliverStart, deliver) are
-// skipped when a fault drops the packet or the wire is severed.
+// kindBits is each kind's length in bit times.
+var kindBits = [...]int64{
+	pktData:    DataBits,
+	pktRelData: RelDataBits,
+	pktAck:     AckBits,
+	pktRelAck:  RelAckBits,
+	pktNak:     NakBits,
+	pktBeat:    BeatBits,
+}
+
+// isData reports a data frame, as opposed to a control frame
+// (acknowledge, NAK or beat).
+func (k packetKind) isData() bool { return k == pktData || k == pktRelData }
+
+// packet is one frame queued on a wire.  The sender hears that a data
+// frame's bits are out even when a fault drops it — transmitting
+// hardware cannot tell its bits were lost — while the receiver sees
+// nothing of a dropped frame or one on a severed wire.
 type packet struct {
 	kind    packetKind
-	bits    int
-	payload byte   // data byte (pktData)
+	payload byte   // data byte (pktData, pktRelData)
 	seq     byte   // sequence bit (error-detecting mode)
 	crc     byte   // check trailer (error-detecting mode)
 	flow    uint64 // probe flow identity carried across the wire; 0 untraced
 	retrans bool   // a resend of a byte already counted as goodput
+}
 
-	onTxEnd      func()
-	deliverStart func(flow uint64) // receives the packet's flow identity
-	deliver      func(p packet)
+// A posted frame travels as its flow plus one word packing the fields
+// receivers read: kind, payload, seq and crc in the low four bytes,
+// and startBit marking the reception-start signal of a pktData frame
+// rather than its completion.
+const startBit = 1 << 32
+
+func (p packet) word() uint64 {
+	return uint64(p.kind) | uint64(p.payload)<<8 | uint64(p.seq)<<16 | uint64(p.crc)<<24
+}
+
+func unpack(flow, word uint64) packet {
+	return packet{kind: packetKind(word), payload: byte(word >> 8), seq: byte(word >> 16),
+		crc: byte(word >> 24), flow: flow}
 }
 
 // FaultAction describes what an injected fault does to one packet.
@@ -62,17 +95,17 @@ type FaultAction struct {
 // and must be deterministic for a given call sequence.
 type FaultHook func(isCtl bool) FaultAction
 
-// rxGate is the receiver-side cut detector for a wire that crosses
-// shards: it is owned (read and written) by the receiving shard only,
-// so a sever can kill in-flight packets without touching sender state.
+// rxGate is the receiver-side cut detector for a posted wire: it is
+// owned (read and written) by the receiving port only, so a sever can
+// kill in-flight packets without touching sender state.
 type rxGate struct {
 	severed bool
 }
 
-// wire is a one-directional signal line.  A wire lives entirely in
-// the sending engine's clock domain; when the receiver is on another
-// shard, deliveries travel through post with prop latency instead of
-// running synchronously.
+// wire is a one-directional signal line.  A wire lives in the sending
+// engine's clock domain; when the receiver is on another port,
+// deliveries travel through post with prop latency instead of running
+// synchronously.
 type wire struct {
 	k     sim.Clock
 	bitNs int64
@@ -87,17 +120,21 @@ type wire struct {
 	dataHead int
 	stats    WireStats
 
+	// tx is the half whose data this wire carries; rxIn and rxOut are
+	// the far end's halves — rxIn takes data and beats, rxOut the
+	// acknowledges and NAKs answering its own data.  All three are
+	// fixed when the wire is connected.
+	tx    *outHalf
+	rxIn  *inHalf
+	rxOut *outHalf
+
 	// post and prop are set when the receiving end lives on another
-	// port: receiver-side callbacks are posted through the coordinator
-	// mailbox with prop propagation delay (the coordinator's
-	// conservative lookahead).  rx is then the receiver-owned cut gate,
-	// and fused records that both ends live on ONE shard — delivered
-	// in-kernel by the fused local loop, never concurrently with the
-	// sender, which is what licenses the capture-free delivery fifo.
-	post  func(at sim.Time, fn func())
-	prop  sim.Time
-	rx    *rxGate
-	fused bool
+	// port: arrivals are posted to it, the wire itself as receiver,
+	// with prop propagation delay (the coordinator's conservative
+	// lookahead).  rx is then the receiver-owned cut gate.
+	post func(at sim.Time, r sim.Receiver, a, b uint64)
+	prop sim.Time
+	rx   *rxGate
 
 	// cur is the frame currently on the wire and curDropped whether a
 	// fault lost it; txDone is the cached frame-completion callback.
@@ -107,18 +144,6 @@ type wire struct {
 	cur        packet
 	curDropped bool
 	txDone     func()
-
-	// fifo carries receiver-side callbacks posted to the far end of a
-	// cross-clock wire, paired with popPosted (cached in popFn): posts
-	// on one wire execute in the destination kernel in exactly the
-	// order they were made — delivery times along a wire are monotonic
-	// and same-instant deliveries keep their injection order — so the
-	// pending deliveries live in a head-indexed ring here and every
-	// post schedules the same capture-free callback, instead of a
-	// fresh packet-sized closure per frame.
-	fifo     []postedFrame
-	fifoHead int
-	popFn    func()
 
 	// hook, when non-nil, injects faults into this wire's traffic.
 	hook FaultHook
@@ -146,7 +171,7 @@ func (w *wire) clearQueues() {
 }
 
 func (w *wire) send(p packet) {
-	if p.kind != pktData {
+	if !p.kind.isData() {
 		if w.ackHead == len(w.acks) {
 			w.acks, w.ackHead = w.acks[:0], 0
 		}
@@ -176,26 +201,24 @@ func (w *wire) transmitNext() {
 	switch {
 	case w.ackHead < len(w.acks):
 		p = w.acks[w.ackHead]
-		w.acks[w.ackHead] = packet{} // drop callback references for the collector
 		w.ackHead++
 	case w.dataHead < len(w.data):
 		p = w.data[w.dataHead]
-		w.data[w.dataHead] = packet{}
 		w.dataHead++
 	default:
 		w.busy = false
 		return
 	}
 	w.busy = true
-	isCtl := p.kind != pktData
+	isCtl := !p.kind.isData()
 	var act FaultAction
 	if w.hook != nil {
 		act = w.hook(isCtl)
 	}
-	dur := int64(p.bits)*w.bitNs + int64(act.Delay)
+	dur := kindBits[p.kind]*w.bitNs + int64(act.Delay)
 	w.stats.BusyNs += dur
 	switch {
-	case p.kind == pktAck:
+	case p.kind == pktAck || p.kind == pktRelAck:
 		w.stats.Acks++
 	case p.kind == pktNak:
 		w.stats.Naks++
@@ -211,7 +234,7 @@ func (w *wire) transmitNext() {
 	if act.Delay > 0 {
 		w.emit(probe.Event{Kind: probe.FaultDelay, Ack: isCtl, Dur: act.Delay, Flow: p.flow})
 	}
-	if act.Corrupt != 0 && p.kind == pktData {
+	if act.Corrupt != 0 && !isCtl {
 		p.payload ^= act.Corrupt
 		w.emit(probe.Event{Kind: probe.FaultCorrupt, Arg: int64(act.Corrupt), Flow: p.flow})
 	}
@@ -220,65 +243,25 @@ func (w *wire) transmitNext() {
 		w.emit(probe.Event{Kind: probe.FaultDrop, Ack: isCtl, Flow: p.flow})
 	}
 	if w.post != nil {
-		// Cross-shard receiver: both callbacks travel through the
-		// mailbox, gated on the receiver-side cut flag (a cable cut is
+		// Posted receiver: the arrivals travel to the far end's port,
+		// gated there on the receiver-side cut flag (a cable cut is
 		// observed at the far end one propagation later; anything
 		// arriving after that is lost).  Packet completion keeps its
 		// exact wire timing — every frame lasts at least an
 		// acknowledge (2 bit times), which is precisely the
 		// coordinator's lookahead, so start+dur is always a legal
-		// cross-shard instant.  Only the reception-start signal (which
+		// cross-port instant.  Only the reception-start signal (which
 		// fires the overlapped acknowledge) is deferred by the
 		// propagation delay.  Sender-side bookkeeping stays local.
-		start := w.k.Now()
-		if !dropped && w.fused {
-			// Same-shard receiver: members of one shard never run
-			// concurrently, so the pending deliveries can sit in the
-			// sender-owned fifo and every post reuses one callback.
-			if w.popFn == nil {
-				w.popFn = w.popPosted
+		if !dropped {
+			start := w.k.Now()
+			if p.kind == pktData {
+				w.post(start+w.prop, w, p.flow, p.word()|startBit)
 			}
-			if ds := p.deliverStart; ds != nil {
-				w.fifoPush(postedFrame{start: true, ds: ds, flow: p.flow})
-				w.post(start+w.prop, w.popFn)
-			}
-			if dv := p.deliver; dv != nil {
-				// The posted copy keeps only the fields receivers read;
-				// carrying the callback pointers across would triple the
-				// pointer slots the collector scans per in-flight packet.
-				pp := p
-				pp.onTxEnd, pp.deliverStart, pp.deliver = nil, nil, nil
-				w.fifoPush(postedFrame{dv: dv, p: pp})
-				w.post(start+sim.Time(dur), w.popFn)
-			}
-		} else if !dropped {
-			// Cross-shard receiver: the destination runs on another
-			// worker, so each delivery carries its own closure — the
-			// capture is what crosses the mailbox's synchronization.
-			rx := w.rx
-			if ds := p.deliverStart; ds != nil {
-				fl := p.flow
-				w.post(start+w.prop, func() {
-					if !rx.severed {
-						ds(fl)
-					}
-				})
-			}
-			if dv := p.deliver; dv != nil {
-				pp := p
-				pp.onTxEnd, pp.deliverStart, pp.deliver = nil, nil, nil
-				w.post(start+sim.Time(dur), func() {
-					if !rx.severed {
-						dv(pp)
-					}
-				})
-			}
+			w.post(start+sim.Time(dur), w, p.flow, p.word())
 		}
-		// The receiver-side callbacks already travelled through the
-		// mailbox; only sender bookkeeping remains for completion.
-		p.deliverStart, p.deliver = nil, nil
-	} else if !dropped && p.deliverStart != nil {
-		p.deliverStart(p.flow)
+	} else if !dropped && p.kind == pktData {
+		w.rxIn.dataStart(p.flow)
 	}
 	w.cur = p
 	w.curDropped = dropped
@@ -288,60 +271,64 @@ func (w *wire) transmitNext() {
 	w.k.After(sim.Time(dur), w.txDone)
 }
 
-// finishTx fires when the frame on the wire completes: deliver (unless
-// lost, or the wire was cut while the frame was in flight), notify the
-// sender, and start the next queued frame.
+// finishTx fires when the frame on the wire completes: deliver it to a
+// synchronous receiver (unless lost, or the wire was cut while the
+// frame was in flight), tell the sender a data frame is out, and start
+// the next queued frame.
 func (w *wire) finishTx() {
 	p := w.cur
-	w.cur = packet{}
-	if !w.curDropped && !w.severed && p.deliver != nil {
-		p.deliver(p)
+	if w.post == nil && !w.curDropped && !w.severed {
+		w.arrive(p)
 	}
-	if p.onTxEnd != nil {
-		p.onTxEnd()
+	switch p.kind {
+	case pktData:
+		w.tx.txEnd()
+	case pktRelData:
+		w.tx.relTxEnd()
 	}
 	w.transmitNext()
 }
 
-// postedFrame is one receiver-side callback waiting in a cross-clock
-// wire's delivery fifo: either a reception-start signal (start, ds,
-// flow) or a completed packet (dv, p).
-type postedFrame struct {
-	start bool
-	flow  uint64
-	ds    func(flow uint64)
-	dv    func(p packet)
-	p     packet
-}
-
-// fifoPush appends to the fused delivery ring.
-//
-//tvet:ignore shardring this IS the ring implementation; every call site is fused-gated
-func (w *wire) fifoPush(f postedFrame) {
-	if w.fifoHead == len(w.fifo) {
-		w.fifo, w.fifoHead = w.fifo[:0], 0
-	}
-	w.fifo = append(w.fifo, f)
-}
-
-// popPosted runs in the destination kernel for every posted delivery:
-// it consumes the next fifo entry — always the one this event was
-// posted for, by the wire-order argument above — and dispatches it
-// unless the receiver-side cut gate has closed in the meantime.
-//
-//tvet:ignore shardring this IS the ring implementation; only fused wires ever post ring entries
-func (w *wire) popPosted() {
-	f := w.fifo[w.fifoHead]
-	w.fifo[w.fifoHead] = postedFrame{}
-	w.fifoHead++
+// Receive implements sim.Receiver: the far end's port runs it for
+// every arrival posted on this wire.  It reads only the wire's fixed
+// ends and the receiver-owned cut gate, never sender state, so the
+// same path is safe whether the two ends share a shard or run
+// concurrently on two.
+func (w *wire) Receive(flow, word uint64) {
 	if w.rx.severed {
 		return
 	}
-	if f.start {
-		f.ds(f.flow)
+	if word&startBit != 0 {
+		w.rxIn.dataStart(flow)
 		return
 	}
-	f.dv(f.p)
+	w.arrive(unpack(flow, word))
+}
+
+// arrive hands a completed frame to the far-end half its kind names.
+func (w *wire) arrive(p packet) {
+	switch p.kind {
+	case pktData:
+		w.rxIn.dataArrive(p)
+	case pktRelData:
+		w.rxIn.relDataArrive(p)
+	case pktAck:
+		w.rxOut.ackArrived()
+	case pktRelAck:
+		w.rxOut.relAckArrived(p.seq)
+	case pktNak:
+		w.rxOut.relNakArrived()
+	case pktBeat:
+		w.rxIn.beatArrive()
+	}
+}
+
+// attach connects the wire to the halves it joins: it carries out's
+// data to farIn and in's acknowledges to farOut.
+func (w *wire) attach(out *outHalf, in *inHalf, farIn *inHalf, farOut *outHalf) {
+	w.tx, w.rxIn, w.rxOut = out, farIn, farOut
+	out.wire = w
+	in.ackWire = w
 }
 
 func boolByte(b bool) int {

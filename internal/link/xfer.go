@@ -20,7 +20,6 @@ import (
 // outHalf is the sending side of one channel of a link.
 type outHalf struct {
 	wire *wire // this end's outgoing signal line for the link
-	peer *inHalf
 
 	// eng and link attribute ack-stall probe events; nil for host ends.
 	eng  *Engine
@@ -48,21 +47,11 @@ type outHalf struct {
 
 	// rel is the error-detecting-mode sender state (see reliable.go).
 	rel relSender
-
-	// Per-peer receiver callbacks, built once and reused for every
-	// packet: a busy link sends thousands of frames, and minting fresh
-	// closures per byte is pure allocator load.  cbPeer records which
-	// peer the cached set was built for, so a rewire invalidates it.
-	cbPeer         *inHalf
-	cbDeliverStart func(flow uint64)
-	cbDeliver      func(p packet)
-	cbTxEnd        func()
 }
 
 // inHalf is the receiving side of one channel of a link.
 type inHalf struct {
-	ackWire *wire    // this end's outgoing line, used for acknowledges
-	peerOut *outHalf // the sender our acknowledges go to
+	ackWire *wire // this end's outgoing line, used for acknowledges
 
 	active   bool
 	write    func(i int, b byte)
@@ -98,10 +87,6 @@ type inHalf struct {
 
 	// rel is the error-detecting-mode receiver state (see reliable.go).
 	rel relReceiver
-
-	// Cached acknowledge-delivery callback (see outHalf's cache).
-	cbAckPeer    *outHalf
-	cbAckArrived func(p packet)
 }
 
 func (o *outHalf) start(read func(i int) byte, count int, done func()) {
@@ -127,28 +112,7 @@ func (o *outHalf) sendByte() {
 		o.sendReliable(b, false)
 		return
 	}
-	o.refreshCallbacks()
-	o.wire.send(packet{
-		kind:         pktData,
-		bits:         DataBits,
-		payload:      b,
-		flow:         o.flow,
-		deliverStart: o.cbDeliverStart,
-		deliver:      o.cbDeliver,
-		onTxEnd:      o.cbTxEnd,
-	})
-}
-
-// refreshCallbacks (re)builds the cached per-peer packet callbacks.
-func (o *outHalf) refreshCallbacks() {
-	if o.cbPeer == o.peer && o.cbTxEnd != nil {
-		return
-	}
-	in := o.peer
-	o.cbPeer = in
-	o.cbDeliverStart = func(fl uint64) { in.dataStart(fl) }
-	o.cbDeliver = func(p packet) { in.dataArrive(p) }
-	o.cbTxEnd = func() { o.txEnd() }
+	o.wire.send(packet{kind: pktData, payload: b, flow: o.flow})
 }
 
 func (o *outHalf) txEnd() {
@@ -285,15 +249,5 @@ func (in *inHalf) store(b byte) {
 }
 
 func (in *inHalf) sendAck() {
-	if in.cbAckPeer != in.peerOut || in.cbAckArrived == nil {
-		out := in.peerOut
-		in.cbAckPeer = out
-		in.cbAckArrived = func(packet) { out.ackArrived() }
-	}
-	in.ackWire.send(packet{
-		kind:    pktAck,
-		bits:    AckBits,
-		flow:    in.flow,
-		deliver: in.cbAckArrived,
-	})
+	in.ackWire.send(packet{kind: pktAck, flow: in.flow})
 }

@@ -14,19 +14,27 @@ import (
 // over one wire — must deliver byte-identical data through the raw
 // protocol, the stop-and-wait ablation, the error-detecting mode, and
 // a virtual-channel multiplexed link; and every configuration must be
-// deterministic across worker counts, completion instant included.
+// deterministic across worker counts and placements, completion
+// instant included.
 
 type xferOutcome struct {
 	got  []byte
 	done sim.Time
 }
 
-// stackPair builds a two-node system wired a.0 <-> b.1.
-func stackPair(t *testing.T, workers int, reliable bool) (*network.System, *network.Node, *network.Node) {
+// fusedPair is the placement that puts both nodes on one shard.
+var fusedPair = [][]string{{"a", "b"}}
+
+// stackPair builds a two-node system wired a.0 <-> b.1, with the given
+// fusion groups (nil: each node on its own shard).
+func stackPair(t *testing.T, workers int, groups [][]string, reliable bool) (*network.System, *network.Node, *network.Node) {
 	t.Helper()
 	s := network.NewSystem()
 	if workers > 0 {
 		s.SetWorkers(workers)
+	}
+	if err := s.SetPlacement(groups); err != nil {
+		t.Fatal(err)
 	}
 	c := core.T424().WithMemory(64 * 1024)
 	a := s.MustAddTransputer("a", c)
@@ -39,9 +47,9 @@ func stackPair(t *testing.T, workers int, reliable bool) (*network.System, *netw
 }
 
 // transferRaw streams the payload as one raw byte stream.
-func transferRaw(t *testing.T, workers int, payload []byte, stopwait, reliable bool) xferOutcome {
+func transferRaw(t *testing.T, workers int, groups [][]string, payload []byte, stopwait, reliable bool) xferOutcome {
 	t.Helper()
-	s, a, b := stackPair(t, workers, reliable)
+	s, a, b := stackPair(t, workers, groups, reliable)
 	if stopwait {
 		a.Engine.SetStopAndWait(true)
 		b.Engine.SetStopAndWait(true)
@@ -62,9 +70,9 @@ func transferRaw(t *testing.T, workers int, payload []byte, stopwait, reliable b
 
 // transferVC streams the payload as n equal strips, one per virtual
 // channel, reassembled by vchan index at the receiver.
-func transferVC(t *testing.T, workers int, payload []byte, n int) xferOutcome {
+func transferVC(t *testing.T, workers int, groups [][]string, payload []byte, n int) xferOutcome {
 	t.Helper()
-	s, a, b := stackPair(t, workers, false)
+	s, a, b := stackPair(t, workers, groups, false)
 	if err := s.EnableVChans(a, 0, n); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +104,9 @@ func transferVC(t *testing.T, workers int, payload []byte, n int) xferOutcome {
 
 // TestProtocolStackConformance is the table: every configuration
 // delivers the identical bytes, at an instant independent of the
-// worker count.
+// worker count and of whether the two nodes share a shard — the fused
+// pair carries every frame kind (data, acknowledge, and in the
+// error-detecting mode the CRC frames) on the in-kernel delivery path.
 func TestProtocolStackConformance(t *testing.T) {
 	payload := make([]byte, 256)
 	for i := range payload {
@@ -104,26 +114,59 @@ func TestProtocolStackConformance(t *testing.T) {
 	}
 	configs := []struct {
 		name string
-		run  func(workers int) xferOutcome
+		run  func(workers int, groups [][]string) xferOutcome
 	}{
-		{"raw", func(w int) xferOutcome { return transferRaw(t, w, payload, false, false) }},
-		{"stopwait", func(w int) xferOutcome { return transferRaw(t, w, payload, true, false) }},
-		{"reliable", func(w int) xferOutcome { return transferRaw(t, w, payload, false, true) }},
-		{"vchan8", func(w int) xferOutcome { return transferVC(t, w, payload, 8) }},
+		{"raw", func(w int, g [][]string) xferOutcome { return transferRaw(t, w, g, payload, false, false) }},
+		{"stopwait", func(w int, g [][]string) xferOutcome { return transferRaw(t, w, g, payload, true, false) }},
+		{"reliable", func(w int, g [][]string) xferOutcome { return transferRaw(t, w, g, payload, false, true) }},
+		{"vchan8", func(w int, g [][]string) xferOutcome { return transferVC(t, w, g, payload, 8) }},
 	}
+	variants := []struct {
+		workers int
+		groups  [][]string
+	}{{4, nil}, {1, fusedPair}, {4, fusedPair}}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
-			one := c.run(1)
-			four := c.run(4)
+			one := c.run(1, nil)
 			if !bytes.Equal(one.got, payload) {
 				t.Fatalf("delivered %d bytes differ from the sent message", len(one.got))
 			}
 			if one.done == 0 {
 				t.Fatal("transfer never completed")
 			}
-			if !bytes.Equal(one.got, four.got) || one.done != four.done {
-				t.Fatalf("worker count changed the outcome: 1 worker (%d bytes at %v) vs 4 workers (%d bytes at %v)",
-					len(one.got), one.done, len(four.got), four.done)
+			for _, v := range variants {
+				got := c.run(v.workers, v.groups)
+				if !bytes.Equal(one.got, got.got) || one.done != got.done {
+					t.Fatalf("workers %d, placement %v changed the outcome: %d bytes at %v, want %d bytes at %v",
+						v.workers, v.groups, len(got.got), got.done, len(one.got), one.done)
+				}
+			}
+		})
+	}
+}
+
+// TestWireAllocsPerFrame guards the per-frame cost of a link: once a
+// pair is built, a longer message must not cost more allocations,
+// whether the two nodes sit on separate shards (frames cross the
+// barrier mailbox) or share one (frames go straight into the far
+// kernel).
+func TestWireAllocsPerFrame(t *testing.T) {
+	for _, p := range []struct {
+		name   string
+		groups [][]string
+	}{{"unfused", nil}, {"fused", fusedPair}} {
+		t.Run(p.name, func(t *testing.T) {
+			allocs := func(n int) float64 {
+				payload := make([]byte, n)
+				if out := transferRaw(t, 1, p.groups, payload, false, false); len(out.got) != n {
+					t.Fatalf("%d-byte transfer delivered %d bytes", n, len(out.got))
+				}
+				return testing.AllocsPerRun(5, func() { transferRaw(t, 1, p.groups, payload, false, false) })
+			}
+			short, long := allocs(256), allocs(1024)
+			if long > short {
+				t.Errorf("1024-byte message cost %.0f allocations, 256-byte %.0f: %.2f per extra byte",
+					long, short, (long-short)/768)
 			}
 		})
 	}

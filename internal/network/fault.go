@@ -212,7 +212,7 @@ func (s *System) restartNode(n *Node, restore []int) {
 			// intra-kernel delivery when fused — so the revival order is
 			// identical at every partition.
 			pe, plnk := pn.Engine, pl
-			n.port.Post(pn.port, now+Lookahead, func() { pe.RecoverLink(plnk) })
+			n.port.Post(pn.port, now+Lookahead, sim.Func(func() { pe.RecoverLink(plnk) }), 0, 0)
 		}
 	}
 	n.Engine.StartHeartbeat()

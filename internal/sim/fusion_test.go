@@ -92,12 +92,12 @@ func TestFusionPartitionInvariantPingPong(t *testing.T) {
 				*trace = append(*trace, fmt.Sprintf("%d->%d@%v", from, to, ports[to].Now()))
 				if n > 0 {
 					next := (to + 1) % len(ports)
-					ports[to].Post(ports[next], ports[to].Now()+L, volley(to, next, n-1))
+					ports[to].Post(ports[next], ports[to].Now()+L, Func(volley(to, next, n-1)), 0, 0)
 				}
 			}
 		}
 		ports[0].Schedule(L, func() {
-			ports[0].Post(ports[1], ports[0].Now()+L, volley(0, 1, 12))
+			ports[0].Post(ports[1], ports[0].Now()+L, Func(volley(0, 1, 12)), 0, 0)
 		})
 		return trace
 	})
@@ -115,14 +115,14 @@ func TestFusionPartitionInvariantSameInstant(t *testing.T) {
 		ports[0].Schedule(at, func() { *trace = append(*trace, "local-0") })
 		ports[0].Schedule(at, func() { *trace = append(*trace, "local-1") })
 		ports[1].Schedule(L, func() {
-			ports[1].Post(ports[0], at, func() { *trace = append(*trace, "from-1") })
+			ports[1].Post(ports[0], at, Func(func() { *trace = append(*trace, "from-1") }), 0, 0)
 		})
 		ports[2].Schedule(L, func() {
-			ports[2].Post(ports[0], at, func() { *trace = append(*trace, "from-2-a") })
-			ports[2].Post(ports[0], at, func() { *trace = append(*trace, "from-2-b") })
+			ports[2].Post(ports[0], at, Func(func() { *trace = append(*trace, "from-2-a") }), 0, 0)
+			ports[2].Post(ports[0], at, Func(func() { *trace = append(*trace, "from-2-b") }), 0, 0)
 		})
 		ports[3].Schedule(L, func() {
-			ports[3].Post(ports[0], at, func() { *trace = append(*trace, "from-3") })
+			ports[3].Post(ports[0], at, Func(func() { *trace = append(*trace, "from-3") }), 0, 0)
 		})
 		return trace
 	})

@@ -53,8 +53,31 @@ type Clock interface {
 	Cancel(id EventID)
 }
 
+// Receiver is the target of a typed event: the kernel calls Receive
+// with the two argument words the event was scheduled with.  A link
+// wire implements it, so a frame crossing between ports is posted as a
+// receiver and two scalars instead of a closure minted per frame.
+type Receiver interface {
+	Receive(a, b uint64)
+}
+
+// Func adapts a closure to Receiver, ignoring the argument words.  A
+// func value is pointer-shaped, so the conversion allocates nothing;
+// Schedule and the rare control posts (cancels, link cuts) use it.
+type Func func()
+
+// Receive calls f.
+func (f Func) Receive(uint64, uint64) { f() }
+
+// delivery is what an event does when it fires: a receiver and its two
+// argument words.
+type delivery struct {
+	r    Receiver
+	a, b uint64
+}
+
 // event is one heap entry.  It is deliberately pointer-free — the
-// callback lives in the slot table — so heap sifts are pure scalar
+// action lives in the slot table — so heap sifts are pure scalar
 // copies with no GC write barriers on the engine's hottest path.
 type event struct {
 	at   Time
@@ -74,7 +97,7 @@ type event struct {
 type slotInfo struct {
 	gen       uint32
 	cancelled bool
-	fn        func() // the event's callback, cleared when the slot retires
+	d         delivery // the event's action, cleared when the slot retires
 }
 
 // Kernel is a time-ordered event queue.  It is not safe for concurrent
@@ -140,11 +163,11 @@ func (k *Kernel) alloc() (uint32, EventID) {
 }
 
 // reap retires a popped heap entry's slot: the generation bump stales
-// every outstanding handle, the callback reference is released, and
+// every outstanding handle, the receiver reference is released, and
 // the slot returns to the freelist.
 func (k *Kernel) reap(slot uint32) {
 	k.slots[slot].gen++
-	k.slots[slot].fn = nil
+	k.slots[slot].d = delivery{}
 	k.free = append(k.free, slot)
 }
 
@@ -252,7 +275,7 @@ func (k *Kernel) Schedule(at Time, fn func()) EventID {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now+k.offset))
 	}
 	s, id := k.alloc()
-	k.slots[s].fn = fn
+	k.slots[s].d = delivery{r: Func(fn)}
 	k.push(event{at: at, rank: 1, seq: k.nextSeq, slot: s})
 	k.nextSeq++
 	k.live++
@@ -264,13 +287,13 @@ func (k *Kernel) Schedule(at Time, fn func()) EventID {
 // any same-instant local event, ordered among same-instant deliveries
 // by key — the coordinator packs the source shard and its per-source
 // sequence, a total order independent of which window barrier did the
-// injecting (see less).
-func (k *Kernel) ScheduleDelivery(at Time, key uint64, fn func()) EventID {
+// injecting (see less).  The delivery calls r.Receive(a, b).
+func (k *Kernel) ScheduleDelivery(at Time, key uint64, r Receiver, a, b uint64) EventID {
 	if at < k.now+k.offset {
 		panic(fmt.Sprintf("sim: delivery at %v before now %v", at, k.now+k.offset))
 	}
 	s, id := k.alloc()
-	k.slots[s].fn = fn
+	k.slots[s].d = delivery{r, a, b}
 	k.push(event{at: at, rank: 0, seq: key, slot: s})
 	k.live++
 	k.stamp++
@@ -306,11 +329,11 @@ func (k *Kernel) Step() bool {
 			k.reap(e.slot)
 			continue
 		}
-		fn := k.slots[e.slot].fn
+		d := k.slots[e.slot].d
 		k.reap(e.slot)
 		k.now = e.at
 		k.live--
-		fn()
+		d.r.Receive(d.a, d.b)
 		return true
 	}
 	return false

@@ -37,6 +37,32 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
+// wordLog is a Receiver recording the argument words it is handed.
+type wordLog [][2]uint64
+
+func (l *wordLog) Receive(a, b uint64) { *l = append(*l, [2]uint64{a, b}) }
+
+// TestDeliveryReceiver: a keyed delivery hands its receiver the two
+// words it was scheduled with, runs before a same-instant local event,
+// and orders among same-instant deliveries by key.
+func TestDeliveryReceiver(t *testing.T) {
+	k := NewKernel()
+	var log wordLog
+	k.Schedule(5, func() { log = append(log, [2]uint64{0, 0}) })
+	k.ScheduleDelivery(5, 2, &log, 3, 4)
+	k.ScheduleDelivery(5, 1, &log, 1, 2)
+	k.Run()
+	want := wordLog{{1, 2}, {3, 4}, {0, 0}}
+	if len(log) != len(want) {
+		t.Fatalf("fired %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("fired %v, want %v", log, want)
+		}
+	}
+}
+
 func TestCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false

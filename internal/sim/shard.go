@@ -53,7 +53,7 @@ type crossEvent struct {
 	src int // origin port rank
 	seq uint64
 	dst int // destination port rank
-	fn  func()
+	d   delivery
 }
 
 // Coordinator advances a set of shards in conservative time windows.
@@ -399,11 +399,11 @@ func (c *Coordinator) Now() Time {
 }
 
 // drain releases the cross-shard mailbox into the destination kernels
-// in (at, src, seq) order.  Called between windows only.
+// in (at, src, seq) order.  Called between windows only, so no shard
+// posts while it runs.
 func (c *Coordinator) drain() {
 	c.mu.Lock()
 	q := c.xq
-	c.xq = nil
 	c.mu.Unlock()
 	if len(q) == 0 {
 		return
@@ -422,8 +422,14 @@ func (c *Coordinator) drain() {
 		// depends on which barrier injected it (see Kernel.less) — and,
 		// because the fused fast path in Port.Post uses the same key, not
 		// on whether the origin port shares the destination's shard.
-		c.ports[e.dst].k.ScheduleDelivery(e.at, deliveryKey(e.src, e.seq), e.fn)
+		c.ports[e.dst].k.ScheduleDelivery(e.at, deliveryKey(e.src, e.seq), e.d.r, e.d.a, e.d.b)
 	}
+	// The next window posts into the same array, cleared so no
+	// delivered receiver stays reachable from it.
+	clear(q)
+	c.mu.Lock()
+	c.xq = q[:0]
+	c.mu.Unlock()
 }
 
 // deliveryKey packs a delivery's canonical identity — origin port rank
@@ -737,11 +743,11 @@ func (c *Coordinator) runWindow(active []*Shard) {
 
 // post appends a cross-shard event to the mailbox.  Safe to call from
 // any shard goroutine during a window.
-func (c *Coordinator) post(src, dst *Port, at Time, fn func()) {
+func (c *Coordinator) post(src, dst *Port, at Time, d delivery) {
 	seq := src.xseq
 	src.xseq++
 	c.mu.Lock()
-	c.xq = append(c.xq, crossEvent{at: at, src: src.rank, seq: seq, dst: dst.rank, fn: fn})
+	c.xq = append(c.xq, crossEvent{at: at, src: src.rank, seq: seq, dst: dst.rank, d: d})
 	c.mu.Unlock()
 }
 
@@ -933,14 +939,11 @@ func (p *Port) Cancel(id EventID) {
 		panic(fmt.Sprintf("sim: cancel of foreign event id %#x", uint64(id)))
 	}
 	op := c.ports[owner]
-	switch {
-	case op == p:
+	if op == p {
 		p.k.Cancel(raw)
-	case op.s == p.s:
-		p.deliverLocal(op, p.Now()+c.lookahead, func() { op.k.Cancel(raw) })
-	default:
-		c.post(p, op, p.Now()+c.lookahead, func() { op.k.Cancel(raw) })
+		return
 	}
+	p.Post(op, p.Now()+c.lookahead, Func(func() { op.k.Cancel(raw) }), 0, 0)
 }
 
 func (p *Port) tag(id EventID) EventID {
@@ -1192,37 +1195,33 @@ func (s *Shard) AdvanceTo(t Time) { s.p0.AdvanceTo(t) }
 // have left it.
 func (p *Port) AdvanceTo(t Time) { p.k.AdvanceTo(t) }
 
-// Post delivers fn to another shard's default port at the given
-// absolute time, which must be at least one lookahead in this shard's
-// future — the conservative contract the whole engine rests on.
-func (s *Shard) Post(dst *Shard, at Time, fn func()) {
-	s.p0.Post(dst.p0, at, fn)
+// Post delivers r.Receive(a, b) to another shard's default port at the
+// given absolute time, which must be at least one lookahead in this
+// shard's future — the conservative contract the whole engine rests on.
+func (s *Shard) Post(dst *Shard, at Time, r Receiver, a, b uint64) {
+	s.p0.Post(dst.p0, at, r, a, b)
 }
 
-// Post delivers fn into another port's timeline at the given absolute
-// time, at least one lookahead in this port's future.  When the ports
-// share a shard — fusion — the delivery is scheduled directly on the
-// destination kernel at its exact timestamp, skipping mailbox and
-// barrier; the key carries the same (origin rank, per-port sequence)
-// identity a mailbox delivery would, so the destination kernel's event
-// order is identical either way.
-func (p *Port) Post(dst *Port, at Time, fn func()) {
-	if dst.s == p.s {
-		p.deliverLocal(dst, at, fn)
+// Post delivers r.Receive(a, b) into another port's timeline at the
+// given absolute time, at least one lookahead in this port's future;
+// wrap a closure in Func to post it.  When the ports share a shard —
+// fusion — the delivery is scheduled directly on the destination
+// kernel at its exact timestamp, skipping mailbox and barrier; the key
+// carries the same (origin rank, per-port sequence) identity a mailbox
+// delivery would, so the destination kernel's event order is identical
+// either way.
+func (p *Port) Post(dst *Port, at Time, r Receiver, a, b uint64) {
+	if dst.s != p.s {
+		p.s.c.post(p, dst, at, delivery{r, a, b})
 		return
 	}
-	p.s.c.post(p, dst, at, fn)
-}
-
-// deliverLocal schedules a keyed delivery on a co-member's kernel —
-// the fused counterpart of a mailbox post.  Members of one shard never
-// execute concurrently, so the destination kernel is quiescent (its
-// runner offset restored) whenever this runs.
-func (p *Port) deliverLocal(dst *Port, at Time, fn func()) {
+	// Members of one shard never execute concurrently, so the
+	// destination kernel is quiescent (its runner offset restored)
+	// whenever this runs.
 	seq := p.xseq
 	p.xseq++
 	p.s.stFused++
-	dst.k.ScheduleDelivery(at, deliveryKey(p.rank, seq), fn)
+	dst.k.ScheduleDelivery(at, deliveryKey(p.rank, seq), r, a, b)
 }
 
 // CrossPath reports how scheduled work travels from src's clock domain
@@ -1235,22 +1234,12 @@ func (p *Port) deliverLocal(dst *Port, at Time, fn func()) {
 // inside a fused shard.  Using the posted path for fused pairs too is
 // what makes results partition-invariant: timing and ordering match
 // the mailbox path exactly.
-func CrossPath(src, dst Clock) (post func(at Time, fn func()), latency Time) {
+func CrossPath(src, dst Clock) (post func(at Time, r Receiver, a, b uint64), latency Time) {
 	sp, dp := portOf(src), portOf(dst)
 	if sp == nil || dp == nil || sp == dp || sp.s.c != dp.s.c {
 		return nil, 0
 	}
-	return func(at Time, fn func()) { sp.Post(dp, at, fn) }, sp.s.c.lookahead
-}
-
-// SameShard reports whether two clocks execute on the same shard — and
-// therefore never concurrently.  Callers use it to decide whether
-// sender-owned state may be read from delivery callbacks: inside one
-// shard the members run sequentially, while distinct shards run on
-// different workers in the same window.
-func SameShard(src, dst Clock) bool {
-	sp, dp := portOf(src), portOf(dst)
-	return sp != nil && dp != nil && sp.s == dp.s
+	return func(at Time, r Receiver, a, b uint64) { sp.Post(dp, at, r, a, b) }, sp.s.c.lookahead
 }
 
 // portOf resolves a Clock to the port identity CrossPath reasons

@@ -52,10 +52,10 @@ func TestShardSameInstantOrder(t *testing.T) {
 		// their first window; the release order must be b before d
 		// (source shard order), after a's local events (scheduled
 		// earlier, hence earlier kernel sequence).
-		b.Schedule(L, func() { b.Post(a, at, func() { trace = append(trace, "from-b") }) })
+		b.Schedule(L, func() { b.Post(a, at, Func(func() { trace = append(trace, "from-b") }), 0, 0) })
 		d.Schedule(L, func() {
-			d.Post(a, at, func() { trace = append(trace, "from-d-0") })
-			d.Post(a, at, func() { trace = append(trace, "from-d-1") })
+			d.Post(a, at, Func(func() { trace = append(trace, "from-d-0") }), 0, 0)
+			d.Post(a, at, Func(func() { trace = append(trace, "from-d-1") }), 0, 0)
 		})
 		c.Run()
 		return trace
