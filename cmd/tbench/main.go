@@ -6,7 +6,7 @@
 //
 //	tbench [-workload all|ring8|grid3x3|compute8] [-workers 1,4]
 //	       [-runs n] [-blockcache=true] [-limit s]
-//	       [-fuse off|greedy|auto|full]
+//	       [-fuse off|auto|full]
 //	       [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // Each (workload, workers) pair is built fresh and run to completion
@@ -16,8 +16,8 @@
 // be identical across runs.
 //
 // -fuse co-locates chattering nodes on shared shards (full = one
-// shard, greedy = contract the wiring graph to the worker count, auto
-// = partition by wire traffic observed in a profiling pre-run).
+// shard, auto = partition by wire traffic observed in a profiling
+// pre-run, contracted to the worker count).
 // Fusion never changes the simulated results — the deterministic cycle
 // check still applies — only how fast the simulator reaches them.
 //
@@ -54,7 +54,7 @@ func main() {
 	runs := flag.Int("runs", 5, "runs per (workload, workers) pair; the median is reported")
 	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (results are identical either way)")
 	limit := flag.Int("limit", 10, "per-run simulated-time limit in seconds")
-	fuse := flag.String("fuse", "off", "shard fusion mode: off|greedy|auto|full (results are identical at every partition)")
+	fuse := flag.String("fuse", "off", "shard fusion mode: off|auto|full (results are identical at every partition)")
 	cpuprofile := flag.String("cpuprofile", "", "write a native CPU profile of the measurement runs to this file")
 	memprofile := flag.String("memprofile", "", "write a native heap profile (taken after the runs) to this file")
 	flag.Parse()
@@ -139,12 +139,10 @@ func fuseGroups(mode, name string, workers int, limit sim.Time) ([][]string, err
 		return nil, nil
 	case "full":
 		return bench.FuseGroups(name, 1)
-	case "greedy":
-		return bench.FuseGroups(name, workers)
 	case "auto":
 		return bench.AutoFuseGroups(name, workers, limit)
 	default:
-		return nil, fmt.Errorf("unknown fuse mode %q (want off|greedy|auto|full)", mode)
+		return nil, fmt.Errorf("unknown fuse mode %q (want off|auto|full)", mode)
 	}
 }
 

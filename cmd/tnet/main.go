@@ -15,7 +15,7 @@
 // every transputer-to-transputer connection; a multiplexed wire
 // refuses plain transfers, so the programs (or the routing layer)
 // must address those links through their LINKnVCm channels.  -fuse
-// selects the shard partition (off|topo|greedy|auto|full; results are
+// selects the shard partition (off|topo|auto|full; results are
 // byte-identical at every mode, only simulator speed changes) and
 // -enginestats reports what the windowed engine did.
 package main
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"transputer/internal/network"
 	"transputer/internal/sim"
@@ -34,7 +33,7 @@ import (
 
 func main() {
 	stats := flag.Bool("stats", false, "print per-node statistics")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker threads for the parallel engine (1 = sequential; output is identical at any count)")
+	workers := flag.Int("workers", 1, "worker threads for the parallel engine (1 = sequential; output is identical at any count)")
 	timeline := flag.String("timeline", "", "write a Chrome trace-event timeline to this file")
 	metrics := flag.Bool("metrics", false, "print probe metrics (utilization, run queues, links)")
 	flows := flag.String("flows", "", "trace message flows and write the flow document (spans, latency histograms, critical path) to this file")

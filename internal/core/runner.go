@@ -3,7 +3,7 @@ package core
 import "transputer/internal/sim"
 
 // Driver is the scheduling surface a Runner needs from the simulation
-// engine.  A standalone *sim.Kernel and a coordinator *sim.Shard both
+// engine.  A standalone *sim.Kernel and a coordinator *sim.Port both
 // satisfy it; the batch-stepping extensions (NextTime, Horizon,
 // SetOffset, Stamp, AdvanceTo) let the runner execute many
 // instructions per heap event while observable time stays exactly as

@@ -11,7 +11,6 @@ package network
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"transputer/internal/core"
 	"transputer/internal/link"
@@ -46,23 +45,6 @@ type Node struct {
 	// need the topology back out of the wiring.
 	peers    [core.NumLinks]*Node
 	peerLink [core.NumLinks]int
-	// severs maps each cross-shard link to the shared per-connection
-	// sever marker (nil for host links and same-shard wiring).
-	severs [core.NumLinks]*severMark
-}
-
-// severMark is shared by the two ends of one cross-shard connection so
-// that a sever — whichever end's fault schedule triggers it, or both —
-// retires the pair from the coordinator's wiring matrix exactly once.
-type severMark struct {
-	a, b int // shard IDs of the two ends
-	done bool
-	// keep pins the pair in the wiring matrix even when severed: a
-	// scheduled Restart will restore this link, and re-adding a retired
-	// matrix edge later would be unsound (a shard may already have run
-	// past the instant a restored wire would deliver into).  Keeping
-	// the edge merely keeps windows conservative.
-	keep bool
 }
 
 // Clock returns the node's scheduling port, for code that needs to
@@ -95,10 +77,6 @@ type System struct {
 	// blockCacheOff is applied to every machine, present and future
 	// (see SetBlockCache).
 	blockCacheOff bool
-	// severMu guards severMark.done; sever callbacks run on shard
-	// goroutines, and both ends of a connection may fire in the same
-	// window.
-	severMu sync.Mutex
 	// hb is the system-wide heartbeat configuration, applied to every
 	// engine present and future; monitors start when Run does.
 	hb struct {
@@ -212,14 +190,13 @@ func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
 		n.port = g.shard.NewPort()
 	} else {
 		sh := s.coord.NewShard()
-		n.port = sh.Port()
+		n.port = sh.NewPort()
 		if ok {
 			g.shard = sh
 		}
 	}
 	n.runner = core.NewRunner(n.port, m)
 	n.Engine = link.NewEngine(n.port, m)
-	n.Engine.OnSever(func(l int) { s.linkSevered(n, l) })
 	m.Attach(portClock{n.port}, n.Engine)
 	m.SetFlowOrigin(uint64(len(s.nodes)) + 1)
 	if s.bus != nil {
@@ -352,42 +329,17 @@ func (s *System) Connect(a *Node, la int, b *Node, lb int) error {
 	a.peers[la], a.peerLink[la] = b, lb
 	b.peers[lb], b.peerLink[lb] = a, la
 	if as, bs := a.port.Shard(), b.port.Shard(); as != bs {
-		// Register the pair in the coordinator's wiring matrix: window
-		// horizons then follow the actual topology (shortest influence
-		// paths) instead of assuming every shard can reach every other
-		// in one Lookahead.  A connection between fused nodes (same
-		// shard) never reaches the matrix: its traffic is intra-kernel
-		// and bounds no window.
+		// Register the pair in the coordinator's wiring graph, the
+		// only source of window horizons: they follow the actual
+		// topology (shortest influence paths), and stay fixed for the
+		// run — a severed link keeps its edge, which merely keeps
+		// windows conservative.  A connection between fused nodes
+		// (same shard) never reaches the graph: its traffic is
+		// intra-kernel and bounds no window.
 		s.coord.Wire(as.ID(), bs.ID(), Lookahead)
 		s.coord.Wire(bs.ID(), as.ID(), Lookahead)
-		mark := &severMark{a: as.ID(), b: bs.ID()}
-		a.severs[la] = mark
-		b.severs[lb] = mark
 	}
 	return nil
-}
-
-// linkSevered retires a severed cross-shard connection from the
-// coordinator's wiring matrix.  The cut takes effect at now+Lookahead:
-// the far end's wire dies exactly one propagation delay after the
-// near end's, so nothing sent after that instant can cross in either
-// direction, and the coordinator defers the actual matrix update until
-// the whole system has executed past the cut.
-func (s *System) linkSevered(n *Node, l int) {
-	mark := n.severs[l]
-	if mark == nil || mark.keep {
-		return
-	}
-	s.severMu.Lock()
-	done := mark.done
-	mark.done = true
-	s.severMu.Unlock()
-	if done {
-		return
-	}
-	cut := n.port.Now() + Lookahead
-	s.coord.Unwire(mark.a, mark.b, cut)
-	s.coord.Unwire(mark.b, mark.a, cut)
 }
 
 // Peer reports what link l of the node is wired to: the node at the

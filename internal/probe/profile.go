@@ -12,8 +12,8 @@ import (
 
 // SampleClock is what a sampling tick needs from a target's scheduling
 // domain: a way to plant the next tick and a local quiescence test.
-// Both a standalone *sim.Kernel and a coordinator *sim.Shard satisfy
-// it.  Pending deliberately reflects only the target's own shard —
+// Both a standalone *sim.Kernel and a coordinator *sim.Port satisfy
+// it.  Pending deliberately reflects only the target's own kernel —
 // consulting global state from inside a window would make sampling
 // depend on how far other shards had progressed.
 type SampleClock interface {

@@ -44,7 +44,7 @@ const MaxTime = Time(1<<63 - 1)
 type EventID uint64
 
 // Clock is the scheduling interface shared by a standalone Kernel and a
-// coordinator Shard; machines, link engines and hosts are written
+// coordinator Port; machines, link engines and hosts are written
 // against it so the same wiring runs single-queue or sharded.
 type Clock interface {
 	Now() Time
@@ -89,8 +89,8 @@ type event struct {
 // slotInfo is the liveness record of one heap entry.  An EventID packs
 // the slot index with the slot's generation at scheduling time, so a
 // handle held across the event's firing goes stale automatically: the
-// pop bumps the generation, and any later Cancel or IsPending through
-// the old handle mismatches.  This keeps per-event bookkeeping to two
+// pop bumps the generation, and any later Cancel through the old
+// handle mismatches.  This keeps per-event bookkeeping to two
 // array accesses — no map insert on schedule, no map delete on fire —
 // which matters because the kernel executes one of these cycles per
 // instruction batch.
@@ -211,29 +211,14 @@ func (k *Kernel) NextTime() (Time, bool) {
 }
 
 // Horizon is the exclusive bound events may run to: MaxTime for a
-// free-running kernel, limit+1 during RunUntil.  (A coordinator Shard
+// free-running kernel, limit+1 during RunUntil.  (A coordinator Port
 // overrides this with its current window horizon.)
 func (k *Kernel) Horizon() Time { return k.horizon }
 
 // PromiseQuiet is the send-promise hook of the batch-runner driver
 // interface.  A lone kernel has no neighbours to inform, so it ignores
-// promises; a coordinator Shard records them to extend windows.
+// promises; a coordinator Port records them to extend windows.
 func (k *Kernel) PromiseQuiet(id EventID, until Time) {}
-
-// IsPending reports whether an event is still scheduled and not
-// cancelled.
-func (k *Kernel) IsPending(id EventID) bool { return k.lookup(id) >= 0 }
-
-// NextEvent reports the earliest pending event's time and ID — the
-// coordinator's check for whether a quiet promise covers the head of
-// the queue.
-func (k *Kernel) NextEvent() (Time, EventID, bool) {
-	e, ok := k.peek()
-	if !ok {
-		return 0, 0, false
-	}
-	return e.at, EventID(uint64(e.slot+1)<<slotShift | uint64(k.slots[e.slot].gen)), true
-}
 
 // HeadIs reports whether the earliest pending event is the one the
 // handle names — the coordinator's check for whether a quiet promise

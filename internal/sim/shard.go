@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,15 +15,17 @@ import (
 // conservative Chandy–Misra-style synchronisation and no null
 // messages.
 //
-// Every cross-node interaction has a minimum latency (for transputer
-// links, the shortest packet's wire time), so an event posted by a
-// node while executing at time T cannot be due at another node before
-// T + lookahead.  The coordinator therefore lets each shard run
-// independently up to a per-shard horizon
+// Every cross-node interaction travels a wire with a minimum latency
+// (for transputer links, the shortest packet's wire time), so an event
+// posted by a node while executing at time T cannot be due at a
+// neighbour before T + latency, nor at any other node before T plus
+// the shortest wired path to it.  The coordinator therefore lets each
+// shard run independently up to a per-shard horizon
 //
-//	horizon(s) = lookahead + min over r != s of nextEvent(r)
+//	horizon(s) = min over r of nextEvent(r) + dist(r, s)
 //
-// (no other shard can cause anything in s before that), then meets all
+// over the static wiring graph (no other shard can cause anything in
+// s before that; see horizonFor), then meets all
 // shards at a barrier, releases the cross-shard mailbox in a canonical
 // order, and opens the next window.  Shard execution inside a window
 // is pure single-threaded event processing, so results are bit-for-bit
@@ -32,12 +35,12 @@ import (
 // nodes of the simulated system schedule and post through.  Each port
 // owns its own kernel; with one port per shard this is exactly the
 // one-node-per-shard engine.  Fusing several ports onto one shard
-// (see NewPort) keeps their mutual traffic inside the shard: a post
-// between co-resident ports is scheduled straight into the destination
-// port's kernel at its exact timestamp — no mailbox entry, no
-// coordinator barrier — and the member kernels are interleaved by a
-// barrier-free sequential loop (see Shard.runBefore) applying the same
-// conservative rule locally.  Because both the mailbox path and the
+// (NewPort on a shard that already has one) keeps their mutual traffic
+// inside the shard: a post between co-resident ports is scheduled
+// straight into the destination port's kernel at its exact timestamp
+// — no mailbox entry, no coordinator barrier — and the member kernels
+// are interleaved by a barrier-free sequential loop (see
+// Shard.runBefore) applying the same conservative rule locally.  Because both the mailbox path and the
 // fused path deliver at the same instants with the same
 // (origin port, per-port sequence) ordering keys, every port's kernel
 // executes the identical event sequence at any partition, which is
@@ -87,21 +90,17 @@ type Coordinator struct {
 	helpers  int
 	windowWg sync.WaitGroup
 
-	// Per-pair wiring (see horizons).  With no Wire calls the
-	// coordinator treats the shard graph as complete at the global
-	// lookahead — the PR-3 rule.  Once wired, w[a][b] is the direct
-	// lookahead from shard a to shard b (infTime when unwired),
-	// wcount[a][b] counts parallel links so severing one of several
-	// keeps the pair finite, and dist is the all-pairs shortest-path
-	// closure rebuilt lazily after wiring changes.
-	wired      bool
+	// The static wiring graph every window horizon is computed from
+	// (see horizonFor): w[a][b] is the direct lookahead from shard a to
+	// shard b (infTime when unwired), and dist its all-pairs
+	// shortest-path closure, rebuilt when a run starts after wiring
+	// changed.  Both are kept sized to the shard count; during a run
+	// they are read-only.
 	w          [][]Time
-	wcount     [][]int
 	dist       [][]Time
 	selfInf    []Time // shortest round trip leaving and re-entering a shard
 	distDirty  bool
 	sendBounds []Time // per-barrier scratch
-	unwires    []unwire
 
 	// byDist[s] holds the sources that can reach s sorted by influence
 	// distance (nearest first), rebuilt with dist; minSendBound is the
@@ -134,14 +133,6 @@ type Coordinator struct {
 type distEntry struct {
 	d Time
 	q int32
-}
-
-// unwire is a pending wiring removal: it takes effect only at a barrier
-// where every event at or before cut has already executed, so in-flight
-// traffic from before the sever is already in the destination kernels.
-type unwire struct {
-	a, b int
-	cut  Time
 }
 
 // infTime marks an absent path; far enough from MaxTime that sums of
@@ -184,13 +175,24 @@ func (c *Coordinator) Workers() int { return c.workers }
 // one callback is supported; registering replaces the previous one.
 func (c *Coordinator) OnFlush(fn func(upTo Time, final bool)) { c.onFlush = fn }
 
-// NewShard adds a shard and returns it.  The shard comes with a
-// default port, so code written against the one-port-per-shard surface
-// (Schedule, Cancel, Post on the Shard itself) keeps working.
+// NewShard adds an empty shard and returns it; participants join it
+// through NewPort.  The new shard starts unwired: until Wire connects
+// it, nothing on another shard can reach it or hear from it.
 func (c *Coordinator) NewShard() *Shard {
 	s := &Shard{c: c, id: len(c.shards)}
 	c.shards = append(c.shards, s)
-	s.p0 = c.newPort(s)
+	n := len(c.shards)
+	for i := range c.w {
+		c.w[i] = append(c.w[i], infTime)
+		c.dist[i] = append(c.dist[i], infTime)
+	}
+	row := make([]Time, n)
+	for j := range row {
+		row[j] = infTime
+	}
+	c.w = append(c.w, row)
+	c.dist = append(c.dist, slices.Clone(row))
+	c.distDirty = true
 	return s
 }
 
@@ -210,103 +212,29 @@ func (c *Coordinator) newPort(s *Shard) *Port {
 }
 
 // Wire records a direct link from shard a to shard b with the given
-// minimum latency.  Calling Wire at least once switches the coordinator
-// from the complete-graph default to horizons derived from actual
-// wiring: pairs with no connecting path contribute no bound at all, so
-// disjoint components (and fully severed nodes) synchronise only
-// internally.  Parallel links stack; each is removed by one Unwire.
+// minimum latency; parallel links keep the minimum.  The wiring graph
+// is the only source of window horizons: pairs with no connecting path
+// contribute no bound at all, so disjoint components synchronise only
+// internally, and a post between shards closer than their wiring
+// distance panics (see Port.Post).  The graph is static for the length
+// of a run — wire before Run, never from inside an event.
 func (c *Coordinator) Wire(a, b int, latency Time) {
 	if latency <= 0 {
 		panic("sim: wire latency must be positive")
 	}
-	c.ensureMatrix()
-	c.wcount[a][b]++
 	if latency < c.w[a][b] {
 		c.w[a][b] = latency
+		c.distDirty = true
 	}
-	c.distDirty = true
-}
-
-// Unwire schedules the removal of one a→b link, effective once the
-// whole system has executed past cut (the simulated instant the link
-// stopped carrying traffic).  The deferral is what makes removal safe:
-// by then every event that could have used the link has fired and its
-// deliveries sit in the destination kernels, so widening the horizon
-// afterwards cannot lose causality.
-//
-// Unwire may be called from shard goroutines mid-window (a fault
-// schedule severing a link); the pending list is guarded by the
-// coordinator mutex and drained at the next barrier.  An Unwire with
-// no prior Wire (an unwired coordinator) is recorded but never
-// applied.
-func (c *Coordinator) Unwire(a, b int, cut Time) {
-	c.mu.Lock()
-	c.unwires = append(c.unwires, unwire{a: a, b: b, cut: cut})
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) ensureMatrix() {
-	n := len(c.shards)
-	if c.wired && len(c.w) == n {
-		return
-	}
-	w := make([][]Time, n)
-	wc := make([][]int, n)
-	for i := range w {
-		w[i] = make([]Time, n)
-		wc[i] = make([]int, n)
-		for j := range w[i] {
-			w[i][j] = infTime
-		}
-		// Copy any earlier, smaller matrix (shards added after wiring
-		// started).
-		if i < len(c.w) {
-			copy(w[i], c.w[i])
-			copy(wc[i], c.wcount[i])
-		}
-	}
-	c.w, c.wcount = w, wc
-	c.wired = true
-	c.distDirty = true
-}
-
-// applyUnwires retires pending link removals whose cut time the whole
-// system has passed.  Called between windows, with min1 the earliest
-// pending event anywhere.
-func (c *Coordinator) applyUnwires(min1 Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.unwires[:0]
-	for _, u := range c.unwires {
-		if min1 <= u.cut {
-			kept = append(kept, u)
-			continue
-		}
-		if c.wcount[u.a][u.b] > 0 {
-			c.wcount[u.a][u.b]--
-			if c.wcount[u.a][u.b] == 0 {
-				c.w[u.a][u.b] = infTime
-				c.distDirty = true
-			}
-		}
-	}
-	c.unwires = kept
 }
 
 // refreshDist rebuilds the all-pairs shortest-path closure and the
-// per-shard minimum round trip.  Shard counts are small and wiring
-// changes are rare (a sever), so Floyd–Warshall is plenty.
+// per-shard minimum round trip.  It runs once when a run starts after
+// the wiring changed, so Floyd–Warshall is plenty.
 func (c *Coordinator) refreshDist() {
-	if !c.distDirty {
-		return
-	}
 	c.distDirty = false
 	n := len(c.shards)
-	if len(c.dist) != n {
-		c.dist = make([][]Time, n)
-		for i := range c.dist {
-			c.dist[i] = make([]Time, n)
-		}
+	if len(c.selfInf) != n {
 		c.selfInf = make([]Time, n)
 		c.sendBounds = make([]Time, n)
 	}
@@ -363,19 +291,14 @@ func (c *Coordinator) refreshDist() {
 	}
 }
 
-// Dist reports the current influence distance from shard a to shard b
+// Dist reports the influence distance from shard a to shard b
 // (infinite when no path connects them), recomputing the closure if
 // wiring changed.  For tests and diagnostics; the run loop uses the
-// internal matrices directly.
+// internal matrices directly.  Call it between runs only.
 func (c *Coordinator) Dist(a, b int) (d Time, connected bool) {
-	if !c.wired {
-		if a == b {
-			return 0, true
-		}
-		return c.lookahead, true
+	if c.distDirty {
+		c.refreshDist()
 	}
-	c.applyUnwires(MaxTime)
-	c.refreshDist()
 	d = c.dist[a][b]
 	return d, d < infTime
 }
@@ -475,14 +398,16 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 	if len(c.nts) != len(c.shards) {
 		c.nts = make([]Time, len(c.shards))
 	}
+	if c.distDirty {
+		c.refreshDist()
+	}
 	for {
 		c.drain()
-		// min1/min2: the two earliest next-event times across shards,
-		// for the per-shard horizon rule.  Each shard's next-event time
-		// is cached for the rest of the barrier (send bounds, the
-		// active-shard scan): peeking costs a cancellation check.
-		min1, min2 := MaxTime, MaxTime
-		owner := -1
+		// min1: the earliest next-event time across shards, the
+		// barrier's low-water mark.  Each shard's next-event time is
+		// cached for the rest of the barrier (the active-shard scan):
+		// peeking costs a cancellation check.
+		min1 := MaxTime
 		for _, s := range c.shards {
 			t, ok := s.NextTime()
 			if !ok {
@@ -491,10 +416,7 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 			}
 			c.nts[s.id] = t
 			if t < min1 {
-				min1, min2 = t, min1
-				owner = s.id
-			} else if t < min2 {
-				min2 = t
+				min1 = t
 			}
 		}
 		if min1 == MaxTime {
@@ -516,48 +438,20 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 			c.stSpanSum += min1 - c.lastMin1
 		}
 		c.lastMin1, c.lastMin1Set = min1, true
-		if c.wired {
-			c.applyUnwires(min1)
-			c.refreshDist()
-			minSb := MaxTime
-			for _, q := range c.shards {
-				sb := q.sendBound()
-				c.sendBounds[q.id] = sb
-				if sb < minSb {
-					minSb = sb
-				}
+		minSb := MaxTime
+		for _, q := range c.shards {
+			sb := q.sendBound()
+			c.sendBounds[q.id] = sb
+			if sb < minSb {
+				minSb = sb
 			}
-			c.minSendBound = minSb
 		}
+		c.minSendBound = minSb
 		active := c.activeBuf[:0]
 		for _, s := range c.shards {
 			// The sound window: a shard may run only to the earliest
-			// instant any cross-shard event could reach it.  Posts made
-			// this window are due no earlier than min1+lookahead (every
-			// fired event is at >= min1), and a peer cannot react to a
-			// post before the next barrier, so everyone may run to
-			// min1+lookahead.  The min1 owner alone gets more: events
-			// addressed to it come from shards whose own events are at
-			// >= min2, so it may run to min(min2, min1+lookahead) +
-			// lookahead.  A lone shard has no one to hear from at all.
-			// (With wiring information the generalised rule in horizonFor
-			// replaces this; on a complete graph with no send promises it
-			// reduces to exactly this formula.)
-			var hzn Time
-			switch {
-			case len(c.shards) == 1:
-				hzn = MaxTime
-			case c.wired:
-				hzn = c.horizonFor(s)
-			case s.id == owner:
-				h2 := min2
-				if h2 > min1+c.lookahead {
-					h2 = min1 + c.lookahead
-				}
-				hzn = h2 + c.lookahead
-			default:
-				hzn = min1 + c.lookahead
-			}
+			// instant any cross-shard event could reach it (horizonFor).
+			hzn := c.horizonFor(s)
 			if bounded && hzn > limit+1 {
 				hzn = limit + 1
 			}
@@ -575,16 +469,21 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 	}
 }
 
-// horizonFor computes a shard's window bound from actual wiring: the
-// earliest instant externally-visible activity anywhere could reach s.
+// horizonFor computes a shard's window bound from the wiring: the
+// earliest instant externally-visible activity anywhere could reach s,
+//
+//	horizon(s) = min over q of sendBound(q) + dist[q][s]
+//
 // Shard q's first possible external action is sendBound(q) — its next
 // event, except that a runner's quiet promise discounts the promised
 // continuation up to the promised time — and the fastest route from q
 // to s adds dist[q][s] (for q = s, the shortest round trip out and
 // back, since a shard's own event can bound it only via an echo).
-// Pairs with no connecting path contribute nothing: a severed or
-// unwired neighbourhood cannot affect s at all.  On a complete graph
-// with no promises this reduces exactly to the min1/min2 rule.
+// Pairs with no connecting path contribute nothing: an unwired
+// neighbourhood cannot affect s at all, and a lone shard, with no
+// round trip, runs to MaxTime.  On a complete graph at one lookahead L
+// with no promises this is the classic two-minimum rule: every shard
+// may run to min1+L, and the shard holding min1 to min(min2, min1+L)+L.
 //
 // Fusion changes none of the arithmetic, only the graph it runs over:
 // the partition's shards replace per-node shards, an inter-shard edge
@@ -815,14 +714,12 @@ const portRankShift = 48
 
 // Shard is one unit of coordinator scheduling: a group of ports whose
 // kernels are advanced together inside a window, by one goroutine at a
-// time.  It implements the same Clock interface as a Kernel (through
-// its default port), and additionally the batch-driver surface
-// (NextTime, Horizon, SetOffset, Stamp) used by instruction runners.
+// time.  Participants never schedule through a shard itself, only
+// through its ports.
 type Shard struct {
 	c     *Coordinator
 	id    int
 	hzn   Time
-	p0    *Port
 	ports []*Port
 
 	// Scratch for the fused member loop (cached per-member next-event
@@ -843,9 +740,10 @@ type Shard struct {
 // — its creation ordinal across the coordinator — is
 // partition-invariant, which keeps event identities and same-instant
 // delivery order identical however ports are grouped.  A Port
-// implements the Clock interface and the batch-driver surface, so
-// machines, engines and runners are written against it exactly as they
-// were against a Shard.
+// implements the Clock interface and the batch-driver surface (NextTime,
+// Horizon, SetOffset, Stamp) used by instruction runners, so machines,
+// engines and runners are written against it exactly as against a
+// standalone Kernel.
 type Port struct {
 	s    *Shard
 	rank int
@@ -861,19 +759,13 @@ type Port struct {
 	promiseUntil Time
 }
 
-// NewPort adds a participant to the shard — the fusion primitive:
-// ports of one shard interleave without coordinator barriers, and
-// their mutual traffic needs no mailbox.
+// NewPort adds a participant to the shard.  A second port on one shard
+// is the fusion primitive: ports of one shard interleave without
+// coordinator barriers, and their mutual traffic needs no mailbox.
 func (s *Shard) NewPort() *Port { return s.c.newPort(s) }
-
-// Port returns the shard's default port (created with the shard).
-func (s *Shard) Port() *Port { return s.p0 }
 
 // ID returns the shard's index within its coordinator.
 func (s *Shard) ID() int { return s.id }
-
-// Coordinator returns the owning coordinator.
-func (s *Shard) Coordinator() *Coordinator { return s.c }
 
 // Shard returns the shard the port lives on.
 func (p *Port) Shard() *Shard { return p.s }
@@ -881,30 +773,14 @@ func (p *Port) Shard() *Shard { return p.s }
 // Rank returns the port's creation ordinal within its coordinator.
 func (p *Port) Rank() int { return p.rank }
 
-// Now returns the default port's current (virtual) time.
-func (s *Shard) Now() Time { return s.p0.k.Now() }
-
 // Now returns the port's current (virtual) time.
 func (p *Port) Now() Time { return p.k.Now() }
 
-// Pending reports the number of scheduled, uncancelled events across
-// the shard's ports.  It deliberately ignores the coordinator mailbox:
-// the answer must not depend on how far other shards have progressed
-// inside the current window.
-func (s *Shard) Pending() int {
-	n := 0
-	for _, p := range s.ports {
-		n += p.k.Pending()
-	}
-	return n
-}
-
 // Pending reports the scheduled, uncancelled events on this port's own
-// kernel (the mailbox is ignored, as in Shard.Pending).
+// kernel.  It deliberately ignores the coordinator mailbox: the answer
+// must not depend on how far other shards have progressed inside the
+// current window.
 func (p *Port) Pending() int { return p.k.Pending() }
-
-// Schedule runs fn at the given time on the default port.
-func (s *Shard) Schedule(at Time, fn func()) EventID { return s.p0.Schedule(at, fn) }
 
 // Schedule runs fn at the given time on the port's kernel.  The
 // returned ID carries the port's rank, so it can be cancelled from
@@ -913,16 +789,10 @@ func (p *Port) Schedule(at Time, fn func()) EventID {
 	return p.tag(p.k.Schedule(at, fn))
 }
 
-// After schedules fn after a delay from the shard's current time.
-func (s *Shard) After(d Time, fn func()) EventID { return s.p0.After(d, fn) }
-
 // After schedules fn after a delay from the port's current time.
 func (p *Port) After(d Time, fn func()) EventID {
 	return p.tag(p.k.After(d, fn))
 }
-
-// Cancel prevents a scheduled event from firing (see Port.Cancel).
-func (s *Shard) Cancel(id EventID) { s.p0.Cancel(id) }
 
 // Cancel prevents a scheduled event from firing.  An event owned by
 // another port cannot be revoked retroactively: the cancellation takes
@@ -930,7 +800,9 @@ func (s *Shard) Cancel(id EventID) { s.p0.Cancel(id) }
 // on another shard, as a keyed delivery into the owner's kernel when
 // fused onto this one — so the race between a cancel and the event
 // firing resolves identically at every partition.  If the event fires
-// first, the cancel is a no-op, exactly like any cross-node signal.
+// first, the cancel is a no-op, exactly like any cross-node signal.  An
+// owner on another shard must be a direct neighbour at one lookahead;
+// any farther and the posted cancel panics (see Post).
 func (p *Port) Cancel(id EventID) {
 	owner := int(id>>portRankShift) - 1
 	raw := id & (1<<portRankShift - 1)
@@ -954,7 +826,7 @@ func (p *Port) tag(id EventID) EventID {
 // ports.
 func (s *Shard) NextTime() (Time, bool) {
 	if len(s.ports) == 1 {
-		return s.p0.k.NextTime()
+		return s.ports[0].k.NextTime()
 	}
 	best, found := MaxTime, false
 	for _, p := range s.ports {
@@ -976,13 +848,9 @@ func (p *Port) NextTime() (Time, bool) { return p.k.NextTime() }
 // instructions ahead of it are pure compute with a known minimum cycle
 // cost.  The promise dies with the event: once id fires it is ignored,
 // and the runner issues a fresh one (or none) at its next batch end.
-func (s *Shard) PromiseQuiet(id EventID, until Time) { s.p0.PromiseQuiet(id, until) }
-
-// PromiseQuiet records the port's quiet promise (see
-// Shard.PromiseQuiet).  Each port carries its own: fused runners
-// promise independently, and both the coordinator's shard send bound
-// and the fused member loop discount each promised continuation
-// individually.
+// Each port carries its own: fused runners promise independently, and
+// both the coordinator's shard send bound and the fused member loop
+// discount each promised continuation individually.
 func (p *Port) PromiseQuiet(id EventID, until Time) {
 	p.promiseID = id & (1<<portRankShift - 1)
 	p.promiseUntil = until
@@ -992,7 +860,7 @@ func (p *Port) PromiseQuiet(id EventID, until Time) {
 // visible outside it: the minimum of its ports' send bounds.
 func (s *Shard) sendBound() Time {
 	if len(s.ports) == 1 {
-		p := s.p0
+		p := s.ports[0]
 		nt, ok := p.k.NextTime()
 		if !ok {
 			return MaxTime
@@ -1051,7 +919,7 @@ func (p *Port) sendBoundAt(nt Time) Time {
 // at T+lookahead or later, and no co-member has run past that.
 func (s *Shard) runBefore(hzn Time) {
 	if len(s.ports) == 1 {
-		p := s.p0
+		p := s.ports[0]
 		p.hzn = hzn
 		p.k.RunBefore(hzn)
 		return
@@ -1163,16 +1031,10 @@ func (s *Shard) advanceTo(t Time) {
 	}
 }
 
-// Horizon is the exclusive bound of the default port's current window.
-func (s *Shard) Horizon() Time { return s.p0.hzn }
-
 // Horizon is the exclusive bound of the port's current execution
 // window: the coordinator window for a lone port, the tighter member
 // bound inside a fused shard.
 func (p *Port) Horizon() Time { return p.hzn }
-
-// SetOffset sets the default port kernel's virtual-time displacement.
-func (s *Shard) SetOffset(d Time) { s.p0.SetOffset(d) }
 
 // SetOffset sets the port kernel's virtual-time displacement.  Each
 // port owns its kernel, so fused runners' displacements never
@@ -1180,14 +1042,7 @@ func (s *Shard) SetOffset(d Time) { s.p0.SetOffset(d) }
 func (p *Port) SetOffset(d Time) { p.k.SetOffset(d) }
 
 // Stamp mirrors Kernel.Stamp for batch runners.
-func (s *Shard) Stamp() uint64 { return s.p0.Stamp() }
-
-// Stamp mirrors Kernel.Stamp for batch runners.
 func (p *Port) Stamp() uint64 { return p.k.Stamp() }
-
-// AdvanceTo moves the default port's clock forward without firing
-// anything.
-func (s *Shard) AdvanceTo(t Time) { s.p0.AdvanceTo(t) }
 
 // AdvanceTo moves the port's clock forward without firing anything; a
 // batch runner uses it so the clock ends at the last executed
@@ -1195,24 +1050,25 @@ func (s *Shard) AdvanceTo(t Time) { s.p0.AdvanceTo(t) }
 // have left it.
 func (p *Port) AdvanceTo(t Time) { p.k.AdvanceTo(t) }
 
-// Post delivers r.Receive(a, b) to another shard's default port at the
-// given absolute time, which must be at least one lookahead in this
-// shard's future — the conservative contract the whole engine rests on.
-func (s *Shard) Post(dst *Shard, at Time, r Receiver, a, b uint64) {
-	s.p0.Post(dst.p0, at, r, a, b)
-}
-
 // Post delivers r.Receive(a, b) into another port's timeline at the
-// given absolute time, at least one lookahead in this port's future;
-// wrap a closure in Func to post it.  When the ports share a shard —
-// fusion — the delivery is scheduled directly on the destination
-// kernel at its exact timestamp, skipping mailbox and barrier; the key
-// carries the same (origin rank, per-port sequence) identity a mailbox
-// delivery would, so the destination kernel's event order is identical
-// either way.
+// given absolute time; wrap a closure in Func to post it.  Across
+// shards, at must be at least the wiring distance between the two
+// shards in this port's future — the conservative contract every
+// window horizon rests on — and a post that breaks it (between unwired
+// shards, where the distance is infinite, included) panics.  When the
+// ports share a shard — fusion — the delivery is scheduled directly on
+// the destination kernel at its exact timestamp, skipping mailbox and
+// barrier; the key carries the same (origin rank, per-port sequence)
+// identity a mailbox delivery would, so the destination kernel's event
+// order is identical either way.
 func (p *Port) Post(dst *Port, at Time, r Receiver, a, b uint64) {
 	if dst.s != p.s {
-		p.s.c.post(p, dst, at, delivery{r, a, b})
+		c := p.s.c
+		// dist is read-only during a run, so no lock is needed.
+		if d := c.dist[p.s.id][dst.s.id]; at < p.Now()+d {
+			p.postTooSoon(dst, at, d)
+		}
+		c.post(p, dst, at, delivery{r, a, b})
 		return
 	}
 	// Members of one shard never execute concurrently, so the
@@ -1222,6 +1078,16 @@ func (p *Port) Post(dst *Port, at Time, r Receiver, a, b uint64) {
 	p.xseq++
 	p.s.stFused++
 	dst.k.ScheduleDelivery(at, deliveryKey(p.rank, seq), r, a, b)
+}
+
+// postTooSoon reports a post that arrives before the wiring allows.
+func (p *Port) postTooSoon(dst *Port, at, d Time) {
+	dist := fmt.Sprint(d)
+	if d >= infTime {
+		dist = "infinite (shards not wired)"
+	}
+	panic(fmt.Sprintf("sim: post from port %d to port %d due at %v, now %v, wiring distance %s",
+		p.rank, dst.rank, at, p.Now(), dist))
 }
 
 // CrossPath reports how scheduled work travels from src's clock domain
@@ -1243,15 +1109,8 @@ func CrossPath(src, dst Clock) (post func(at Time, r Receiver, a, b uint64), lat
 }
 
 // portOf resolves a Clock to the port identity CrossPath reasons
-// about: a Port itself, a Shard's default port, or nil for a plain
-// kernel.
+// about: a Port itself, or nil for a plain kernel.
 func portOf(c Clock) *Port {
-	switch v := c.(type) {
-	case *Port:
-		return v
-	case *Shard:
-		return v.p0
-	default:
-		return nil
-	}
+	p, _ := c.(*Port)
+	return p
 }

@@ -30,6 +30,30 @@ func withWorkers(t *testing.T, build func(workers int) []string) {
 	}
 }
 
+// lonePorts gives n ports, each on a shard of its own, with every pair
+// of shards wired at the coordinator's lookahead — the complete graph
+// the scenarios here assume.
+func lonePorts(c *Coordinator, n int) []*Port {
+	ports := make([]*Port, n)
+	for i := range ports {
+		ports[i] = c.NewShard().NewPort()
+	}
+	wireAll(c)
+	return ports
+}
+
+// wireAll wires every ordered pair of the coordinator's shards at one
+// lookahead.
+func wireAll(c *Coordinator) {
+	for a := range c.Shards() {
+		for b := range c.Shards() {
+			if a != b {
+				c.Wire(a, b, c.Lookahead())
+			}
+		}
+	}
+}
+
 // TestShardSameInstantOrder: events due at one instant on one shard
 // fire in the order they were scheduled, even when some were scheduled
 // locally and others arrived through the mailbox from different source
@@ -41,7 +65,8 @@ func TestShardSameInstantOrder(t *testing.T) {
 	withWorkers(t, func(workers int) []string {
 		c := NewCoordinator(L)
 		c.SetWorkers(workers)
-		a, b, d := c.NewShard(), c.NewShard(), c.NewShard()
+		ps := lonePorts(c, 3)
+		a, b, d := ps[0], ps[1], ps[2]
 		var trace []string
 		at := 5 * L
 		// Local events scheduled first get the lowest kernel sequence
@@ -72,7 +97,8 @@ func TestShardCrossCancel(t *testing.T) {
 	withWorkers(t, func(workers int) []string {
 		c := NewCoordinator(L)
 		c.SetWorkers(workers)
-		a, b := c.NewShard(), c.NewShard()
+		ps := lonePorts(c, 2)
+		a, b := ps[0], ps[1]
 		var trace []string
 		// Far event: due 10L out; b cancels at time L, the cancel is
 		// released at 2L, well before the event.  Must not fire.
@@ -102,7 +128,8 @@ func TestShardRunUntilMidWindow(t *testing.T) {
 	withWorkers(t, func(workers int) []string {
 		c := NewCoordinator(L)
 		c.SetWorkers(workers)
-		a, b := c.NewShard(), c.NewShard()
+		ps := lonePorts(c, 2)
+		a, b := ps[0], ps[1]
 		// Each shard records its own firings (shards may execute
 		// concurrently); the traces are merged by time afterwards —
 		// every due time is distinct, so the merge is total.
@@ -144,13 +171,59 @@ func TestShardRunUntilMidWindow(t *testing.T) {
 func TestShardEventAtLimitFires(t *testing.T) {
 	const L = Time(100)
 	c := NewCoordinator(L)
-	a := c.NewShard()
-	b := c.NewShard()
+	ps := lonePorts(c, 2)
+	a, b := ps[0], ps[1]
 	fired := false
 	a.Schedule(4*L, func() { fired = true })
 	b.Schedule(5*L, func() {})
 	c.RunUntil(4 * L)
 	if !fired {
 		t.Error("event at the limit did not fire")
+	}
+}
+
+// TestPostNeedsWiring: horizons trust the wiring graph completely, so a
+// cross-shard post closer than the wiring distance panics — between
+// unwired shards, where the distance is infinite, and between shards
+// two hops apart that are posted to at one hop's latency — while a
+// post along a wire, or far enough down a path, is accepted.
+func TestPostNeedsWiring(t *testing.T) {
+	const L = Time(100)
+	c := NewCoordinator(L)
+	a := c.NewShard().NewPort()
+	b := c.NewShard().NewPort()
+	d := c.NewShard().NewPort()
+	lone := c.NewShard().NewPort()
+	// a - b - d in a chain; lone is wired to nothing.
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		c.Wire(e[0], e[1], L)
+		c.Wire(e[1], e[0], L)
+	}
+	var got []string
+	try := func(name string, dst *Port, at Time) {
+		defer func() {
+			if r := recover(); r != nil {
+				got = append(got, name+": panic")
+			}
+		}()
+		a.Post(dst, at, Func(func() {}), 0, 0)
+		got = append(got, name+": ok")
+	}
+	a.Schedule(L, func() {
+		now := a.Now()
+		try("along the wire", b, now+L)
+		try("unwired", lone, now+10*L)
+		try("two hops at one hop", d, now+L)
+		try("two hops at two hops", d, now+2*L)
+	})
+	c.Run()
+	want := []string{
+		"along the wire: ok",
+		"unwired: panic",
+		"two hops at one hop: panic",
+		"two hops at two hops: ok",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("posts = %v, want %v", got, want)
 	}
 }

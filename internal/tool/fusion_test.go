@@ -83,7 +83,7 @@ func assertFusionInvariant(t *testing.T, path string) {
 	tlPath := filepath.Join(t.TempDir(), "tl.json")
 	flPath := filepath.Join(t.TempDir(), "flows.json")
 	ref := runFusedNet(t, path, tlPath, flPath, "off", 1, true)
-	for _, fuse := range []string{"off", "topo", "greedy", "auto", "full"} {
+	for _, fuse := range []string{"off", "topo", "auto", "full"} {
 		for _, workers := range []int{1, 4} {
 			for _, bc := range []bool{true, false} {
 				if fuse == "off" && workers == 1 && bc {
