@@ -14,17 +14,25 @@ import "transputer/internal/isa"
 // instead of re-fetching bytes and re-walking pfix/nfix chains.
 //
 // A block terminates at anything that can transfer control or touch the
-// scheduler: j, cj, call, and every opr.  The records before the
-// terminator are "pure": they read and write memory and the evaluation
-// stack only, with a fully fixed cycle cost, which is what lets
-// Machine.StepRun execute them in a tight loop and lets the runner
-// promise the simulation coordinator a quiet horizon (see
-// SendLookaheadCycles).
+// scheduler: j, cj, call, and every opr but the pure ones.  The records
+// before the terminator are "pure": they read and write memory and the
+// evaluation stack only, with a fully fixed cycle cost, which is what
+// lets the runner promise the simulation coordinator a quiet horizon
+// (see SendLookaheadCycles).
+//
+// Blocks are chained: each caches the blocks its final record last led
+// to, so moving the execution cursor from one block to the next is a
+// pointer comparison rather than a lookup by instruction pointer.
+// Machine.StepRun runs pure records in a tight loop and follows the
+// chain through cj, and through j whenever the jump's timeslice check
+// cannot switch processes, so a whole loop can execute in one batch.
 //
 // Self-modifying code still works: every memory write is filtered
 // against the cached code range and overlapping blocks are invalidated
 // before the write's effect can be observed, including a store that
-// rewrites a later instruction of the block currently executing.
+// rewrites a later instruction of the block currently executing.  A
+// chained successor is only followed while it is valid and starts at
+// the instruction pointer.
 
 // blockRec is one predecoded instruction: the final function with its
 // fully accumulated prefix operand.
@@ -52,6 +60,11 @@ type block struct {
 	// excluding a terminating opr.
 	quiet []int32
 	valid bool
+	// succ caches the blocks the final record last led to, most recent
+	// first: the two arms of a cj, or a j or call target.  A slot is
+	// only used while its block is valid and starts at the instruction
+	// pointer.
+	succ [2]*block
 }
 
 const (
@@ -89,6 +102,10 @@ func (m *Machine) bcache() *blockCache {
 }
 
 // flushBlocks drops every cached block: program load or cache overflow.
+// Writes no longer reach the dropped blocks, but nothing reaches them
+// either: the cursor is cleared, and a block's successors are filled
+// only from the cache current at the time, so dropped blocks are linked
+// only to one another.
 func (m *Machine) flushBlocks() {
 	m.bc = nil
 	m.curBlock = nil
@@ -331,6 +348,27 @@ func (m *Machine) lookupBlock(iptr uint64) *block {
 	return m.decodeBlock(iptr)
 }
 
+// nextBlock returns the block at the instruction pointer after b's
+// final record ran, through b's successor cache, or nil when the
+// machine has no current process to chain for (halted, idle, or a
+// pending prefix) or nothing there can be decoded.  Its callers run
+// only with the cache on.
+func (m *Machine) nextBlock(b *block) *block {
+	if m.halted || m.Oreg != 0 || m.Wdesc == m.notProcess() {
+		return nil
+	}
+	for _, s := range b.succ {
+		if s != nil && s.valid && s.startAddr == m.Iptr {
+			return s
+		}
+	}
+	s := m.lookupBlock(m.Iptr)
+	if s != nil {
+		b.succ[0], b.succ[1] = s, b.succ[0]
+	}
+	return s
+}
+
 // execRec dispatches one predecoded record, reproducing the interpreted
 // path byte for byte: instruction counting, tracing, the fetch-buffer
 // ablation charge and the cycle total are all identical.
@@ -347,9 +385,12 @@ func (m *Machine) execRec(b *block, idx int) int {
 		})
 	}
 	cycles := int(rec.pre) + m.execFunction(rec.fn, rec.operand)
-	if b.valid && idx+1 < len(b.recs) {
+	switch {
+	case idx+1 == len(b.recs):
+		m.curBlock, m.curIdx = m.nextBlock(b), 0
+	case b.valid:
 		m.curBlock, m.curIdx = b, idx+1
-	} else {
+	default:
 		m.curBlock = nil
 	}
 	return cycles
@@ -381,16 +422,34 @@ func (m *Machine) SendLookaheadCycles() int {
 	return int(b.quiet[idx])
 }
 
-// StepRun executes a run of consecutive pure predecoded records as one
-// batch, bounded so that every record after the first starts strictly
-// before maxNs of simulated time has elapsed — exactly the instructions
-// Step-by-Step execution would have run against the same bound.  It
-// returns the total cycles consumed and the cycles of the last record
-// (so a caller can reconstruct the last instruction's start time); a
-// zero total means the fast path does not apply and the caller must use
-// Step.  Pure records cannot schedule, deschedule, communicate or
-// observe time, so executing them without touching the clock is
-// invisible; cycle accounting still happens per record.
+// batchable reports whether StepRun may execute rec.  Pure records and
+// cj cannot schedule, deschedule, communicate or observe time.  A j can
+// switch processes at its timeslice check, so it joins the batch only
+// when the check is certain to keep the current process: a
+// high-priority process, timeslicing off, a slice not yet used up, or
+// no other low-priority process to switch to.
+func (m *Machine) batchable(rec *blockRec) bool {
+	switch {
+	case rec.pure, rec.fn == isa.FnCj:
+		return true
+	case rec.fn == isa.FnJ:
+		return m.CurrentPriority() != PriorityLow || m.cfg.TimesliceCycles <= 0 ||
+			m.timesliceCount < m.cfg.TimesliceCycles || m.Fptr[PriorityLow] == m.notProcess()
+	}
+	return false
+}
+
+// StepRun executes a run of consecutive batchable predecoded records
+// (see batchable) as one batch, following the chained successor at
+// each block end, bounded so that every record after the first starts
+// strictly before maxNs of simulated time has elapsed — exactly the
+// instructions Step-by-Step execution would have run against the same
+// bound.  It returns the total cycles consumed and the cycles of the
+// last record (so a caller can reconstruct the last instruction's start
+// time); a zero total means the fast path does not apply and the caller
+// must use Step.  Batchable records cannot schedule, deschedule,
+// communicate or observe time, so executing them without touching the
+// clock is invisible; cycle accounting still happens per record.
 func (m *Machine) StepRun(maxNs int64) (total, last int) {
 	if m.curBlock == nil || m.halted || m.trace != nil ||
 		m.pendingSwitchCycles != 0 || m.preemptPending || m.longOp != nil ||
@@ -398,7 +457,7 @@ func (m *Machine) StepRun(maxNs int64) (total, last int) {
 		return 0, 0
 	}
 	b, idx := m.curBlock, m.curIdx
-	if !b.valid || idx >= len(b.recs) || b.recs[idx].addr != m.Iptr || !b.recs[idx].pure {
+	if !b.valid || idx >= len(b.recs) || b.recs[idx].addr != m.Iptr || !m.batchable(&b.recs[idx]) {
 		return 0, 0
 	}
 	cycleNs := int64(m.cfg.CycleNs)
@@ -411,20 +470,19 @@ func (m *Machine) StepRun(maxNs int64) (total, last int) {
 		total += c
 		last = c
 		idx++
-		if m.halted || !b.valid {
-			break // memory fault, halt-on-error, or self-modified block
-		}
-		if idx >= len(b.recs) || !b.recs[idx].pure {
+		if idx == len(b.recs) {
+			if b = m.nextBlock(b); b == nil {
+				break
+			}
+			idx = 0
+		} else if m.halted || !b.valid {
+			b = nil // memory fault, halt-on-error, or self-modified block
 			break
 		}
-		if int64(total)*cycleNs >= maxNs {
+		if !m.batchable(&b.recs[idx]) || int64(total)*cycleNs >= maxNs {
 			break
 		}
 	}
-	if !m.halted && b.valid && idx < len(b.recs) {
-		m.curBlock, m.curIdx = b, idx
-	} else {
-		m.curBlock = nil
-	}
+	m.curBlock, m.curIdx = b, idx
 	return total, last
 }

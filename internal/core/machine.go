@@ -130,7 +130,12 @@ type Machine struct {
 	// probe events.
 	qlen [2]int
 
-	stats Stats
+	// stats holds every counter but the operation tallies, which
+	// countOp keeps densely in opCounts (opExtra for operations beyond
+	// the defined set); Stats assembles the public view.
+	stats    Stats
+	opCounts [opSlots]uint64
+	opExtra  map[uint16]uint64
 }
 
 // longOpState is an in-progress interruptible long operation: either a
@@ -359,8 +364,18 @@ func (m *Machine) ClearForcedHalt() bool {
 // still be waiting on timers or links.
 func (m *Machine) Idle() bool { return m.Wdesc == m.notProcess() || m.halted }
 
-// Stats returns a copy of the machine's counters.
-func (m *Machine) Stats() Stats { return m.stats }
+// Stats returns a snapshot of the machine's counters.  The snapshot
+// shares nothing with the machine: its OpCounts is a fresh map that
+// later execution does not change.
+func (m *Machine) Stats() Stats {
+	s := m.stats
+	s.OpCounts = m.opCountMap()
+	return s
+}
+
+// Cycles returns the processor cycles consumed so far, the Cycles
+// counter of Stats without building the rest of the snapshot.
+func (m *Machine) Cycles() uint64 { return m.stats.Cycles }
 
 // now returns the current simulated time, or zero when no clock is
 // attached (pure cycle-counting runs).

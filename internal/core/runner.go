@@ -107,12 +107,13 @@ func (r *Runner) step() {
 	bound := r.bound()
 	for {
 		last = base + off
-		// Fast path: a run of pure predecoded records executes in one
-		// call, with the same per-instruction accounting and the same
-		// bound semantics as the stepwise loop below.  Pure records
-		// cannot schedule or cancel events, so the cached bound stays
-		// valid; they cannot deschedule, so only a halt can park the
-		// machine.
+		// Fast path: a run of batchable predecoded records — pure
+		// compute, cj, and j where it cannot switch processes —
+		// executes in one call, with the same per-instruction
+		// accounting and the same bound semantics as the stepwise loop
+		// below.  Batchable records cannot schedule or cancel events,
+		// so the cached bound stays valid; they cannot deschedule, so
+		// only a halt can park the machine.
 		if n, lastC := m.StepRun(int64(bound - (base + off))); n > 0 {
 			r.BusyCycles += uint64(n)
 			off += sim.Time(int64(n) * cyc)

@@ -1,5 +1,11 @@
 package core
 
+import (
+	"maps"
+
+	"transputer/internal/isa"
+)
+
 // Stats aggregates the execution counters the paper's performance
 // discussion rests on: instruction and cycle counts (MIPS), instruction
 // length distribution (the "typically 80% single byte" claim), and
@@ -100,9 +106,40 @@ func (m *Machine) countInstr(bytes int, fn int) {
 	m.stats.FunctionCounts[fn&0xF]++
 }
 
+// opSlots sizes the dense operation counters: one slot for every
+// operation up to the highest the instruction set defines.
+const opSlots = int(isa.OpTesthalterr) + 1
+
+// countOp tallies one executed indirect operation.  The defined
+// operations count in a fixed array; an undefined one beyond it, which
+// only a faulting program executes, still counts exactly in a map made
+// on first use.
 func (m *Machine) countOp(op uint16) {
-	if m.stats.OpCounts == nil {
-		m.stats.OpCounts = make(map[uint16]uint64)
+	if int(op) < opSlots {
+		m.opCounts[op]++
+		return
 	}
-	m.stats.OpCounts[op]++
+	if m.opExtra == nil {
+		m.opExtra = make(map[uint16]uint64)
+	}
+	m.opExtra[op]++
+}
+
+// opCountMap builds the OpCounts view of the operation counters: a
+// fresh map, nil when no operation has executed.
+func (m *Machine) opCountMap() map[uint16]uint64 {
+	var counts map[uint16]uint64
+	if len(m.opExtra) > 0 {
+		counts = maps.Clone(m.opExtra)
+	}
+	for op, c := range m.opCounts {
+		if c == 0 {
+			continue
+		}
+		if counts == nil {
+			counts = make(map[uint16]uint64)
+		}
+		counts[uint16(op)] = c
+	}
+	return counts
 }

@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"transputer/internal/core"
 	"transputer/internal/isa"
+	"transputer/internal/sim"
 )
 
 // commProgram builds a two-process program that passes one n-byte
@@ -141,5 +143,53 @@ func TestStatsAdd(t *testing.T) {
 	b.OpCounts[0x2A] = 99
 	if a.OpCounts[0x2A] != 5 {
 		t.Error("Add aliased the source OpCounts map")
+	}
+}
+
+// TestStatsSnapshotIsolated checks that Stats returns a snapshot: an
+// OpCounts map taken mid-run must not change as the machine goes on
+// executing.
+func TestStatsSnapshotIsolated(t *testing.T) {
+	m := core.MustNew(core.T424().WithMemory(64 * 1024))
+	if err := m.Load(assemble(t, loopSource)); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	for m.Stats().OpCounts == nil {
+		if m.Step() == 0 {
+			t.Fatal("program ended before executing an operation")
+		}
+	}
+	snap := m.Stats()
+	want := maps.Clone(snap.OpCounts)
+	for m.Step() != 0 {
+	}
+	if !maps.Equal(snap.OpCounts, want) {
+		t.Errorf("snapshot OpCounts changed as the machine ran on: %v, taken as %v", snap.OpCounts, want)
+	}
+	if maps.Equal(m.Stats().OpCounts, want) {
+		t.Error("the machine executed no further operations; the test checks nothing")
+	}
+}
+
+// TestOpCountsUndefinedOperation checks that an operation code beyond
+// the defined set, which faults, is still counted exactly alongside
+// the defined ones.
+func TestOpCountsUndefinedOperation(t *testing.T) {
+	m := core.MustNew(core.T424().WithMemory(64 * 1024))
+	img := core.Image{
+		// ldc 1; ldc 2; add; pfix 1; pfix 0; opr 0 (operation 0x100)
+		Code:    []byte{0x41, 0x42, 0xF5, 0x21, 0x20, 0xF0},
+		WsBelow: 16, WsAbove: 16,
+	}
+	if err := m.Load(img); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	core.Run(m, sim.Millisecond)
+	if m.Fault() == nil {
+		t.Fatal("operation 0x100 did not fault")
+	}
+	want := map[uint16]uint64{uint16(isa.OpAdd): 1, 0x100: 1}
+	if got := m.Stats().OpCounts; !maps.Equal(got, want) {
+		t.Errorf("OpCounts = %v, want %v", got, want)
 	}
 }
