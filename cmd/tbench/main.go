@@ -6,7 +6,7 @@
 //
 //	tbench [-workload all|ring8|grid3x3|compute8] [-workers 1,4]
 //	       [-runs n] [-blockcache=true] [-limit s]
-//	       [-fuse off|auto|full]
+//	       [-fuse off|full]
 //	       [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // Each (workload, workers) pair is built fresh and run to completion
@@ -15,9 +15,7 @@
 // simulation itself is deterministic, so the cycle count is checked to
 // be identical across runs.
 //
-// -fuse co-locates chattering nodes on shared shards (full = one
-// shard, auto = partition by wire traffic observed in a profiling
-// pre-run, contracted to the worker count).
+// -fuse full co-locates every node on one shard.
 // Fusion never changes the simulated results — the deterministic cycle
 // check still applies — only how fast the simulator reaches them.
 //
@@ -54,7 +52,7 @@ func main() {
 	runs := flag.Int("runs", 5, "runs per (workload, workers) pair; the median is reported")
 	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (results are identical either way)")
 	limit := flag.Int("limit", 10, "per-run simulated-time limit in seconds")
-	fuse := flag.String("fuse", "off", "shard fusion mode: off|auto|full (results are identical at every partition)")
+	fuse := flag.String("fuse", "off", "shard fusion mode: off|full (results are identical at every partition)")
 	cpuprofile := flag.String("cpuprofile", "", "write a native CPU profile of the measurement runs to this file")
 	memprofile := flag.String("memprofile", "", "write a native heap profile (taken after the runs) to this file")
 	flag.Parse()
@@ -89,14 +87,14 @@ func main() {
 	results := make(map[string]map[string]result)
 	for _, name := range names {
 		per := make(map[string]result)
+		groups, err := fuseGroups(*fuse, name)
+		if err != nil {
+			fatal(err)
+		}
+		if len(groups) > 0 {
+			fmt.Fprintf(os.Stderr, "%s: fused %v\n", name, groups)
+		}
 		for _, w := range counts {
-			groups, err := fuseGroups(*fuse, name, w, sim.Time(*limit)*sim.Second)
-			if err != nil {
-				fatal(err)
-			}
-			if len(groups) > 0 {
-				fmt.Fprintf(os.Stderr, "%s/workers=%d: fused %v\n", name, w, groups)
-			}
 			r, err := measure(name, groups, w, *runs, *blockcache, sim.Time(*limit)*sim.Second)
 			if err != nil {
 				fatal(err)
@@ -131,18 +129,15 @@ func main() {
 	fmt.Println(string(out))
 }
 
-// fuseGroups resolves the -fuse mode into a placement for one
-// (workload, workers) pair.
-func fuseGroups(mode, name string, workers int, limit sim.Time) ([][]string, error) {
+// fuseGroups resolves the -fuse mode into a placement for a workload.
+func fuseGroups(mode, name string) ([][]string, error) {
 	switch mode {
 	case "off", "":
 		return nil, nil
 	case "full":
 		return bench.FuseGroups(name, 1)
-	case "auto":
-		return bench.AutoFuseGroups(name, workers, limit)
 	default:
-		return nil, fmt.Errorf("unknown fuse mode %q (want off|auto|full)", mode)
+		return nil, fmt.Errorf("unknown fuse mode %q (want off|full)", mode)
 	}
 }
 

@@ -15,7 +15,7 @@
 // every transputer-to-transputer connection; a multiplexed wire
 // refuses plain transfers, so the programs (or the routing layer)
 // must address those links through their LINKnVCm channels.  -fuse
-// selects the shard partition (off|topo|auto|full; results are
+// selects the shard partition (off|topo|full; results are
 // byte-identical at every mode, only simulator speed changes) and
 // -enginestats reports what the windowed engine did.
 package main
@@ -73,7 +73,7 @@ func main() {
 			topo.VChans = append(topo.VChans, network.VChanSpec{Node: c.A, Link: c.ALink, Count: *vchan})
 		}
 	}
-	if err := tool.ResolveFusion(topo, *fuse, filepath.Dir(flag.Arg(0)), *workers); err != nil {
+	if err := tool.ResolveFusion(topo, *fuse); err != nil {
 		fatal(err)
 	}
 	net, err := tool.BuildNetwork(topo, filepath.Dir(flag.Arg(0)), os.Stdout)

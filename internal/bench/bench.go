@@ -376,40 +376,23 @@ func place(s *network.System, groups [][]string) error {
 	return s.SetPlacement(groups)
 }
 
-// FuseGroups computes a workload's static fusion placement: the wiring
-// graph greedily contracted to at most maxParts shards (maxParts < 1
-// fuses fully).
+// FuseGroups computes a workload's fusion placement: every node, in
+// creation order, on one shard.  maxParts must be 1, the only part
+// count supported.
 func FuseGroups(name string, maxParts int) ([][]string, error) {
+	if maxParts != 1 {
+		return nil, fmt.Errorf("bench: fusion into %d parts unsupported (only 1)", maxParts)
+	}
 	s, err := Build(name)
 	if err != nil {
 		return nil, err
 	}
-	return network.GreedyFuse(nodeNames(s), s.WiringEdges(), maxParts, 1), nil
-}
-
-// AutoFuseGroups computes a workload's adaptive fusion placement from
-// a profiling pre-run: the workload runs once unfused, each connection
-// is weighted by observed wire activity, edges too quiet to be worth a
-// shard are dropped, and the rest contract to at most maxParts groups.
-func AutoFuseGroups(name string, maxParts int, limit sim.Time) ([][]string, error) {
-	s, err := Build(name)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := Run(s, limit); err != nil {
-		return nil, fmt.Errorf("bench: autofuse pre-run: %w", err)
-	}
-	floor := network.FuseTrafficFloor(s.Now())
-	return network.GreedyFuse(nodeNames(s), s.TrafficEdges(), maxParts, floor), nil
-}
-
-func nodeNames(s *network.System) []string {
 	nodes := s.Nodes()
 	names := make([]string, len(nodes))
 	for i, n := range nodes {
 		names[i] = n.Name
 	}
-	return names
+	return [][]string{names}, nil
 }
 
 // Workloads lists the available workload names in canonical order.

@@ -220,18 +220,6 @@ func (k *Kernel) Horizon() Time { return k.horizon }
 // promises; a coordinator Port records them to extend windows.
 func (k *Kernel) PromiseQuiet(id EventID, until Time) {}
 
-// HeadIs reports whether the earliest pending event is the one the
-// handle names — the coordinator's check for whether a quiet promise
-// covers the head of the queue, without materialising the head's ID.
-func (k *Kernel) HeadIs(id EventID) bool {
-	e, ok := k.peek()
-	if !ok {
-		return false
-	}
-	s := int(id>>slotShift) - 1
-	return s == int(e.slot) && k.slots[e.slot].gen == uint32(id&genMask)
-}
-
 // NextTimeExcluding reports the time of the earliest pending event
 // other than the one named — the coordinator's send-bound scan, which
 // discounts a runner continuation covered by a quiet promise.  The

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -48,9 +47,10 @@ import (
 // grouped onto shards.
 
 // crossEvent is one mailbox entry: an event produced by port src
-// while executing a window, due on port dst at time at.  Entries are
-// released at the barrier sorted by (at, src, seq) — a total order
-// that no amount of worker parallelism can perturb.
+// while executing a window, due on port dst at time at.  Entries reach
+// the mailbox in whatever order the workers post them; the destination
+// kernel orders them by (at, src, seq) — a total order that no amount
+// of worker parallelism can perturb (see drain).
 type crossEvent struct {
 	at  Time
 	src int // origin port rank
@@ -86,7 +86,6 @@ type Coordinator struct {
 	claim    atomic.Uint64
 	active   []*Shard
 	tokenCh  chan struct{}
-	sleepers atomic.Int32
 	helpers  int
 	windowWg sync.WaitGroup
 
@@ -110,10 +109,8 @@ type Coordinator struct {
 	byDist       [][]distEntry
 	minSendBound Time
 
-	// Per-barrier scratch, reused to keep the barrier loop
-	// allocation-free: each shard's next event time (MaxTime when its
-	// queues are empty) and the active-shard list for the window.
-	nts       []Time
+	// The active-shard list for the window, reused to keep the barrier
+	// loop allocation-free.
 	activeBuf []*Shard
 
 	// Engine diagnostics (see EngineStats).  All but fused are touched
@@ -321,9 +318,11 @@ func (c *Coordinator) Now() Time {
 	return t
 }
 
-// drain releases the cross-shard mailbox into the destination kernels
-// in (at, src, seq) order.  Called between windows only, so no shard
-// posts while it runs.
+// drain releases the cross-shard mailbox into the destination kernels.
+// Called between windows only, so no shard posts while it runs.  The
+// mailbox needs no sort: each entry enters its destination heap keyed
+// by (at, deliveryKey(src, seq)), a total order, so the kernel fires
+// the entries in the same order whatever order they were posted in.
 func (c *Coordinator) drain() {
 	c.mu.Lock()
 	q := c.xq
@@ -332,13 +331,6 @@ func (c *Coordinator) drain() {
 		return
 	}
 	c.stCross += uint64(len(q))
-	// Insertion sort: the mailbox is tiny (a window's worth of link
-	// packets) and often nearly ordered.
-	for i := 1; i < len(q); i++ {
-		for j := i; j > 0 && crossLess(q[j], q[j-1]); j-- {
-			q[j], q[j-1] = q[j-1], q[j]
-		}
-	}
 	for _, e := range q {
 		// The key extends the (at, src, seq) order into the kernel heap
 		// itself, so a delivery's place among same-instant events never
@@ -359,16 +351,6 @@ func (c *Coordinator) drain() {
 // and per-port sequence — into the kernel ordering key.
 func deliveryKey(rank int, seq uint64) uint64 {
 	return uint64(rank+1)<<portRankShift | seq
-}
-
-func crossLess(a, b crossEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
 }
 
 // flush invokes the barrier callback.
@@ -395,27 +377,16 @@ func (c *Coordinator) RunUntil(limit Time) bool {
 func (c *Coordinator) run(limit Time, bounded bool) bool {
 	stop := c.startPool()
 	defer stop()
-	if len(c.nts) != len(c.shards) {
-		c.nts = make([]Time, len(c.shards))
-	}
 	if c.distDirty {
 		c.refreshDist()
 	}
 	for {
 		c.drain()
 		// min1: the earliest next-event time across shards, the
-		// barrier's low-water mark.  Each shard's next-event time is
-		// cached for the rest of the barrier (the active-shard scan):
-		// peeking costs a cancellation check.
+		// barrier's low-water mark.
 		min1 := MaxTime
 		for _, s := range c.shards {
-			t, ok := s.NextTime()
-			if !ok {
-				c.nts[s.id] = MaxTime
-				continue
-			}
-			c.nts[s.id] = t
-			if t < min1 {
+			if t, ok := s.NextTime(); ok && t < min1 {
 				min1 = t
 			}
 		}
@@ -456,7 +427,7 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 				hzn = limit + 1
 			}
 			s.hzn = hzn
-			if c.nts[s.id] < hzn {
+			if t, ok := s.NextTime(); ok && t < hzn {
 				active = append(active, s)
 			}
 		}
@@ -512,8 +483,9 @@ func (c *Coordinator) horizonFor(s *Shard) Time {
 // (or one shard) no goroutines are started and windows run inline.
 // The coordinator itself executes shards too, so a run uses workers-1
 // helpers: on a machine with nothing to run them on, the coordinator
-// simply claims every shard itself and a window costs a handful of
-// atomic operations more than sequential execution.
+// simply claims every shard itself and a window costs a few
+// non-blocking channel sends and atomic operations more than
+// sequential execution.
 func (c *Coordinator) startPool() (stop func()) {
 	n := c.workers
 	if n > len(c.shards) {
@@ -523,6 +495,8 @@ func (c *Coordinator) startPool() (stop func()) {
 		return func() {}
 	}
 	c.helpers = n - 1
+	// One slot per helper: a window sends at most one token per helper,
+	// and a send that finds the buffer full is dropped (see runWindow).
 	c.tokenCh = make(chan struct{}, c.helpers)
 	var alive sync.WaitGroup
 	alive.Add(c.helpers)
@@ -541,40 +515,16 @@ func (c *Coordinator) startPool() (stop func()) {
 	}
 }
 
-// helperLoop claims shards whenever a window is open.  Between windows
-// a helper spins briefly on the claim word (windows are short, often
-// only a few hundred simulated nanoseconds apart), then parks on the
-// token channel until the coordinator wakes it or the run ends.
+// helperLoop waits for a wakeup token, claims shards until the window
+// it finds has none left, and waits again; closing the token channel
+// ends it.  A token can outlive its window (the coordinator may claim
+// every shard before the helper wakes); the epoch in the claim word
+// makes such a stale wakeup claim nothing, or claim into the window
+// open when it runs, which is equally sound.
 func (c *Coordinator) helperLoop() {
-	const spinBudget = 1 << 12
-	spins := 0
-	for {
-		if c.tryClaim() {
-			spins = 0
-			continue
+	for range c.tokenCh {
+		for c.tryClaim() {
 		}
-		spins++
-		if spins < spinBudget {
-			if spins%64 == 0 {
-				runtime.Gosched()
-			}
-			continue
-		}
-		// Park.  Re-check after registering as a sleeper so a window
-		// opened concurrently cannot be missed: the coordinator reads
-		// sleepers after publishing the claim word.
-		c.sleepers.Add(1)
-		if c.tryClaim() {
-			c.sleepers.Add(-1)
-			spins = 0
-			continue
-		}
-		_, ok := <-c.tokenCh
-		c.sleepers.Add(-1)
-		if !ok {
-			return
-		}
-		spins = 0
 	}
 }
 
@@ -620,14 +570,12 @@ func (c *Coordinator) runWindow(active []*Shard) {
 	c.windowWg.Add(len(active))
 	epoch := (c.claim.Load() >> claimEpochShift) + 1
 	c.claim.Store(epoch<<claimEpochShift | uint64(len(active))<<claimLenShift)
-	if c.sleepers.Load() > 0 {
-		// Wake parked helpers, at most one per remaining shard.
-		for i := 0; i < c.helpers && i < len(active)-1; i++ {
-			select {
-			case c.tokenCh <- struct{}{}:
-			default:
-				i = c.helpers // buffer full: every helper already has a wakeup pending
-			}
+	// Wake helpers, at most one per shard beyond the coordinator's own.
+	// A full buffer means every helper already has a wakeup pending.
+	for i := 0; i < min(c.helpers, len(active)-1); i++ {
+		select {
+		case c.tokenCh <- struct{}{}:
+		default:
 		}
 	}
 	// The coordinator works the window too, then waits out the stragglers.
@@ -722,13 +670,12 @@ type Shard struct {
 	hzn   Time
 	ports []*Port
 
-	// Scratch for the fused member loop (cached per-member next-event
-	// times and send bounds with the kernel stamps that validate them),
-	// and the shard's diagnostic counters — plain fields, since a
-	// shard's work is single-threaded within a window.
+	// Scratch for the fused member loop (each member's next-event time
+	// and send bound at the top of a pass), and the shard's diagnostic
+	// counters — plain fields, since a shard's work is single-threaded
+	// within a window.
 	nts     []Time
 	sbs     []Time
-	stamps  []uint64
 	stLocal uint64
 	stFused uint64
 }
@@ -885,14 +832,11 @@ func (s *Shard) sendBound() Time {
 // time.  Without a live promise that is simply nt; with one, the
 // promised continuation is discounted up to the promised time — the
 // other pending events still bound the answer, because any of them
-// could cascade into a send at its own instant.  The promise can only
-// matter when the promised event is the head of the queue, so the
-// linear scan runs only for ports genuinely quiet at their horizon.
+// could cascade into a send at its own instant.  When the promised
+// event is not the head (or has already fired), the scan finds the
+// head itself, at nt.
 func (p *Port) sendBoundAt(nt Time) Time {
 	if p.promiseUntil <= nt {
-		return nt
-	}
-	if !p.k.HeadIs(p.promiseID) {
 		return nt
 	}
 	b := p.promiseUntil
@@ -928,36 +872,22 @@ func (s *Shard) runBefore(hzn Time) {
 	if len(s.nts) != len(s.ports) {
 		s.nts = make([]Time, len(s.ports))
 		s.sbs = make([]Time, len(s.ports))
-		s.stamps = make([]uint64, len(s.ports))
-		for i := range s.stamps {
-			s.stamps[i] = ^uint64(0) // force the first refresh
-		}
 	}
 	for {
-		// Scan pass: refresh stale cache entries, find the earliest next
-		// event and the two smallest send bounds (sb2 covers the member
-		// holding sb1 — its own sends cannot bound it).  A member's
-		// cached entry can only go stale by executing or by a schedule
-		// change, and every schedule change — a delivery posted in, a
-		// cross-port cancel, the member's own scheduling while it ran —
-		// bumps its kernel stamp.
+		// Scan pass: read every member's next event and send bound, and
+		// find the earliest next event and the two smallest send bounds
+		// (sb2 covers the member holding sb1 — its own sends cannot
+		// bound it).
 		m1 := MaxTime
 		sb1, sb2 := MaxTime, MaxTime
 		sb1i := -1
 		for i, q := range s.ports {
-			if q.k.stamp != s.stamps[i] {
-				s.stamps[i] = q.k.stamp
-				if nt, ok := q.k.NextTime(); ok {
-					s.nts[i] = nt
-					if q.promiseUntil > nt {
-						s.sbs[i] = q.sendBoundAt(nt)
-					} else {
-						s.sbs[i] = nt
-					}
-				} else {
-					s.nts[i] = MaxTime
-					s.sbs[i] = MaxTime
-				}
+			if nt, ok := q.k.NextTime(); ok {
+				s.nts[i] = nt
+				s.sbs[i] = q.sendBoundAt(nt)
+			} else {
+				s.nts[i] = MaxTime
+				s.sbs[i] = MaxTime
 			}
 			if t := s.nts[i]; t < m1 {
 				m1 = t
@@ -972,7 +902,7 @@ func (s *Shard) runBefore(hzn Time) {
 			return
 		}
 		// Run every member that has work inside its bound, all from the
-		// bounds cached at the top of the pass (a mini-barrier, so one
+		// bounds read at the top of the pass (a mini-barrier, so one
 		// scan is amortised over up to len(ports) member runs).  The
 		// bound has two terms:
 		//
@@ -982,7 +912,7 @@ func (s *Shard) runBefore(hzn Time) {
 		//     matter — deliveries posted by an earlier member arrive at
 		//     or above every later member's bound, so no member executes
 		//     a same-pass delivery, and every member's own sends stay at
-		//     or above its (accurately cached) send bound.
+		//     or above its send bound as read at the top of the pass.
 		//
 		//   - the member's OWN send bound, two lookaheads out: the
 		//     member's first send of this pass, at T >= sb(p), reaches a
@@ -1012,9 +942,6 @@ func (s *Shard) runBefore(hzn Time) {
 			}
 			if s.nts[i] < b {
 				q.hzn = b
-				// Mark the runner's entry stale: executing changes its
-				// queue without necessarily bumping its stamp.
-				s.stamps[i] = ^uint64(0)
 				q.k.RunBefore(b)
 				s.stLocal++
 			}

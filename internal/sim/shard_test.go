@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"testing"
+	"time"
 )
 
 // The tests here pin the semantics the parallel engine must preserve
@@ -225,5 +228,72 @@ func TestPostNeedsWiring(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("posts = %v, want %v", got, want)
+	}
+}
+
+// TestPoolWindowsOfEverySize: the helper pool across consecutive
+// bounded runs whose windows alternate between one active shard (run
+// inline by the coordinator, with no wakeup sent) and more active
+// shards than helpers (so wakeup tokens can outlive their window in
+// the channel buffer).  The trace must match one worker's, and every
+// run must leave no helper goroutine behind.
+func TestPoolWindowsOfEverySize(t *testing.T) {
+	const L = Time(100)
+	const n = 8 // shards; four workers are the coordinator and three helpers
+	const phases = 6
+	phaseAt := func(ph int) Time { return Time(ph+1) * 10 * L }
+	run := func(workers int) []string {
+		c := NewCoordinator(L)
+		c.SetWorkers(workers)
+		ps := lonePorts(c, n)
+		// One trace per shard: shards of one window may run concurrently.
+		traces := make([][]string, n)
+		note := func(i int, what string) {
+			traces[i] = append(traces[i], fmt.Sprintf("%08d %d %s", int64(ps[i].Now()), i, what))
+		}
+		for ph := 0; ph < phases; ph++ {
+			at := phaseAt(ph)
+			if ph%2 == 0 {
+				ps[0].Schedule(at, func() { note(0, "alone") })
+				continue
+			}
+			// Every shard at once, then every shard again as the posts
+			// land one lookahead later, then shard 0 alone.
+			for i := range ps {
+				ps[i].Schedule(at, func() {
+					note(i, "all")
+					dst := (i + 1) % n
+					ps[i].Post(ps[dst], ps[i].Now()+L, Func(func() { note(dst, fmt.Sprintf("from %d", i)) }), 0, 0)
+				})
+			}
+			ps[0].Schedule(at+3*L, func() { note(0, "alone after all") })
+		}
+		for ph := 0; ph < phases; ph++ {
+			before := runtime.NumGoroutine()
+			c.RunUntil(phaseAt(ph) + 5*L)
+			// stop has waited for every helper to return; give the
+			// runtime a moment to retire the goroutines themselves.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > before {
+				t.Fatalf("workers=%d phase %d: %d goroutines after RunUntil, %d before", workers, ph, got, before)
+			}
+		}
+		var trace []string
+		for _, tr := range traces {
+			trace = append(trace, tr...)
+		}
+		sort.Strings(trace)
+		return trace
+	}
+	want := run(1)
+	if len(want) != 3*1+3*(2*n+1) {
+		t.Fatalf("workers=1 trace has %d entries: %v", len(want), want)
+	}
+	got := run(4)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("workers=4 trace\n%v\nwant\n%v", got, want)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // there.
 
 // FuseModes documents the accepted -fuse values.
-const FuseModes = "off|topo|auto|full"
+const FuseModes = "off|topo|full"
 
 // ResolveFusion turns a -fuse mode into the topology's final Shards
 // placement.  Modes:
@@ -23,13 +23,7 @@ const FuseModes = "off|topo|auto|full"
 //	off     ignore any `shard` directives; one node per shard
 //	topo    the file's `shard` directives as written (the default)
 //	full    every node on one shard
-//	auto    profile a pre-run of the unfused topology, then contract
-//	        the observed traffic graph to at most maxParts shards,
-//	        ignoring edges too quiet to be worth a shard
-//
-// For auto, baseDir resolves the topology's program paths (the pre-run
-// loads and runs the real programs; its host output is discarded).
-func ResolveFusion(topo *network.Topology, mode, baseDir string, maxParts int) error {
+func ResolveFusion(topo *network.Topology, mode string) error {
 	switch mode {
 	case "topo", "":
 		return nil
@@ -47,45 +41,9 @@ func ResolveFusion(topo *network.Topology, mode, baseDir string, maxParts int) e
 		}
 		topo.Shards = [][]string{all}
 		return nil
-	case "auto":
-		groups, err := AutoFuseGroups(topo, baseDir, maxParts)
-		if err != nil {
-			return err
-		}
-		topo.Shards = groups
-		return nil
 	default:
 		return fmt.Errorf("unknown fuse mode %q (want %s)", mode, FuseModes)
 	}
-}
-
-func nodeNames(topo *network.Topology) []string {
-	names := make([]string, len(topo.Transputers))
-	for i, t := range topo.Transputers {
-		names[i] = t.Name
-	}
-	return names
-}
-
-// AutoFuseGroups profiles the topology unfused and partitions by
-// observed wire traffic: a fresh copy of the network runs to
-// quiescence with host output discarded, each connection is weighted
-// by its wire activity, edges below a density floor are dropped (quiet
-// wires are not worth losing a parallel shard over), and the rest are
-// greedily contracted to at most maxParts groups.  The pre-run is
-// deterministic, so the resulting placement — and with it the measured
-// run's wall-clock, though never its results — is reproducible.
-func AutoFuseGroups(topo *network.Topology, baseDir string, maxParts int) ([][]string, error) {
-	pre := *topo
-	pre.Shards = nil
-	net, err := BuildNetwork(&pre, baseDir, io.Discard)
-	if err != nil {
-		return nil, fmt.Errorf("autofuse pre-run: %w", err)
-	}
-	rep := RunToQuiescence(net)
-	edges := net.System.TrafficEdges()
-	floor := network.FuseTrafficFloor(rep.Time)
-	return network.GreedyFuse(nodeNames(topo), edges, maxParts, floor), nil
 }
 
 // PrintEngineStats reports windowed-engine diagnostics for a finished

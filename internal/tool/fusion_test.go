@@ -12,15 +12,18 @@ import (
 
 // Shard fusion's contract is the parallel engine's, one level up: the
 // partition is invisible.  The same topology run with one shard per
-// node, everything fused onto one shard, or an adaptively chosen
-// grouping — at any worker count, with or without the block cache —
+// node, everything fused onto one shard, or a mixed placement with
+// some nodes fused and the rest exchanging through the barrier
+// mailbox — at any worker count, with or without the block cache —
 // produces byte-identical timelines, flow traces, stats and host
 // output.  These tests pin that for the shipped examples the sweep
 // script exercises in CI.
 
 // runFusedNet loads a topology, applies a fusion mode, and runs it
 // with the given worker count and block-cache setting, capturing every
-// observable output (see netOutput in parallel_test.go).
+// observable output (see netOutput in parallel_test.go).  Besides the
+// -fuse modes it takes "mixed", which fuses the first half of the
+// transputers (at least two) and leaves the rest one per shard.
 func runFusedNet(t *testing.T, path, tlPath, flPath, fuse string, workers int, blockcache bool) netOutput {
 	t.Helper()
 	src, err := os.ReadFile(path)
@@ -31,7 +34,13 @@ func runFusedNet(t *testing.T, path, tlPath, flPath, fuse string, workers int, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ResolveFusion(topo, fuse, filepath.Dir(path), workers); err != nil {
+	if fuse == "mixed" {
+		var half []string
+		for _, tp := range topo.Transputers[:max(2, len(topo.Transputers)/2)] {
+			half = append(half, tp.Name)
+		}
+		topo.Shards = [][]string{half}
+	} else if err := ResolveFusion(topo, fuse); err != nil {
 		t.Fatal(err)
 	}
 	var hostOut bytes.Buffer
@@ -83,7 +92,7 @@ func assertFusionInvariant(t *testing.T, path string) {
 	tlPath := filepath.Join(t.TempDir(), "tl.json")
 	flPath := filepath.Join(t.TempDir(), "flows.json")
 	ref := runFusedNet(t, path, tlPath, flPath, "off", 1, true)
-	for _, fuse := range []string{"off", "topo", "auto", "full"} {
+	for _, fuse := range []string{"off", "topo", "mixed", "full"} {
 		for _, workers := range []int{1, 4} {
 			for _, bc := range []bool{true, false} {
 				if fuse == "off" && workers == 1 && bc {
@@ -122,6 +131,18 @@ func TestFusionInvariantLossyLink(t *testing.T) {
 // watchdog's post-mortem, identical at every partition.
 func TestFusionInvariantSeveredRing(t *testing.T) {
 	assertFusionInvariant(t, filepath.Join("..", "..", "examples", "faults", "severed-ring.tnet"))
+}
+
+// TestFusionInvariantHealedRing: heartbeat detection of a cut and
+// rerouting around it, identical at every partition.
+func TestFusionInvariantHealedRing(t *testing.T) {
+	assertFusionInvariant(t, filepath.Join("..", "..", "examples", "faults", "healed-ring.tnet"))
+}
+
+// TestFusionInvariantRestartGrid: a node halted and restarted
+// mid-run, with routed messages around the hole.
+func TestFusionInvariantRestartGrid(t *testing.T) {
+	assertFusionInvariant(t, filepath.Join("..", "..", "examples", "faults", "restart-grid.tnet"))
 }
 
 // TestFusionInvariantVChanSieve: virtual channels multiplexed over
